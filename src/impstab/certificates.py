@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .comparison import (
     ComparisonFn,
@@ -490,6 +489,10 @@ def falsify(
         UbebsCertificate: "falsify-ubebs",
         IissCertificate: "falsify-iiss",
     }[type(cert)]
+    # imported here: scipy.stats costs about a second and most of the
+    # package's import memory, and only falsify needs it
+    from scipy.stats import qmc
+
     halton = qmc.Halton(d=4, scramble=True, seed=seed).random(budget)
     worst = -math.inf
     inconclusive = 0

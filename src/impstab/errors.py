@@ -34,7 +34,8 @@ class MissingEnvelope(ImpstabError, LookupError):
 
 
 class NonFiniteState(ImpstabError, ArithmeticError):
-    """The state became NaN or infinite during strict simulation."""
+    """The state became NaN or infinite, or a map raised an arithmetic
+    error, during strict simulation."""
 
 
 class InvalidSystem(ImpstabError, ValueError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import ComparisonFn, eval_array
-from .errors import InvalidInterval
+from .errors import InvalidInterval, OutOfRange
 from .impulses import ImpulseSequence
 
 
@@ -274,14 +274,25 @@ class EnergyProfile:
     def flow_part(self, t):
         return np.interp(t, self._knots, self._cum)
 
+    def _within(self, t) -> None:
+        # past the horizon the polyline would clamp to its last value
+        if np.any(np.asarray(t) > self.horizon):
+            raise OutOfRange(
+                f"energy queried past the profile horizon {self.horizon:.6g}"
+            )
+
     def at(self, t):
-        """Energy over (t0, t] for scalar or array t within the horizon."""
+        """Energy over (t0, t] for scalar or array t within the horizon;
+        OutOfRange past it."""
+        self._within(t)
         idx = np.searchsorted(self._taus, t, "right")
         return self.flow_part(t) + self._jump_cum[idx]
 
     def before_jump(self, tau: float | np.ndarray) -> float | np.ndarray:
         """Energy over (t0, tau), the jump term at tau itself excluded, for
-        scalar or array tau within the horizon; same shape out, like `at`."""
+        scalar or array tau within the horizon (OutOfRange past it); same
+        shape out, like `at`."""
+        self._within(tau)
         idx = np.searchsorted(self._taus, tau, "left")
         return self.flow_part(tau) + self._jump_cum[idx]
 

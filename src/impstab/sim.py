@@ -7,6 +7,14 @@ jump time and input breakpoint, so the integrator never steps across a
 discontinuity; within a segment the input is constant.  A jump exactly
 at the start time is not applied (windows are open on the left), one
 exactly at the horizon is.
+
+Each segment is stepped by one call of a classical RK4 kernel generated
+per state dimension with its components unrolled into locals.  The flow
+map is called exactly four times per step and the jump map once per
+applied jump, each as h(t, x, u) with x a list and u a tuple.  A map
+that raises an arithmetic error ends the run as "step-failure" at the
+last finite sample (NonFiniteState when strict); a map returning the
+wrong number of components raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -155,6 +163,82 @@ def _segment_bounds(
     return np.concatenate(([t0], inner, [horizon]))
 
 
+_KERNEL_FILE = "<impstab.sim kernel>"
+_KERNELS: dict[int, tuple] = {}
+# A sum of squares at or below this is inside the divergence radius however
+# it was rounded; above it the exact `_outside` test decides.
+_SAFE_SQ = 0.25 * _DIVERGE_SQ
+
+
+def _outside(x) -> bool:
+    """True when |x| is beyond the divergence radius or x is not finite."""
+    try:
+        return not math.fsum(v * v for v in x) <= _DIVERGE_SQ
+    except OverflowError:  # finite squares whose sum overflows
+        return True
+
+
+def _kernel(n: int) -> tuple:
+    """The RK4 segment kernel and the jump step for state dimension n.
+
+    Generated once per dimension with every component unrolled into
+    locals, so a step builds no intermediate lists beyond the stage
+    arguments of the flow map.  `segment` appends each step's time and
+    state to `times` and `states` and returns (x, None); a state outside
+    the divergence radius or not finite is returned unappended, with its
+    time, as (x, t).  `jump` returns the post-jump state.
+    """
+    if n in _KERNELS:
+        return _KERNELS[n]
+
+    def row(fmt: str) -> str:
+        return ", ".join(fmt.format(i=i) for i in range(n))
+
+    def stage(c: str, k: str) -> str:
+        return f"[{row('x{i} + ' + c + ' * ' + k + '{i}')}]"
+
+    src = f"""
+def segment(f, a, b, nsub, h, x, u, times, states):
+    {row('x{i}')}, = x
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    last = nsub - 1
+    for i in range(nsub):
+        t = a + i * h
+        {row('k{i}')}, = f(t, x, u)
+        {row('p{i}')}, = f(t + h2, {stage('h2', 'k')}, u)
+        {row('q{i}')}, = f(t + h2, {stage('h2', 'p')}, u)
+        {row('r{i}')}, = f(t + h, {stage('h', 'q')}, u)
+        {row('x{i}')}, = {row('x{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},
+        x = [{row('x{i}')}]
+        t = b if i == last else a + (i + 1) * h
+        if not {' + '.join(f'x{i} * x{i}' for i in range(n))} <= _SAFE_SQ and _outside(x):
+            return x, t
+        times.append(t)
+        states.append(x)
+    return x, None
+
+
+def jump(g, t, x, u):
+    {row('x{i}')}, = x
+    {row('d{i}')}, = g(t, x, u)
+    return [{row('x{i} + d{i}')}]
+"""
+    env = {"__builtins__": {}, "range": range, "_SAFE_SQ": _SAFE_SQ, "_outside": _outside}
+    exec(compile(src, _KERNEL_FILE, "exec"), env)
+    _KERNELS[n] = (env["segment"], env["jump"])
+    return _KERNELS[n]
+
+
+def _raised_by_kernel(exc: BaseException) -> bool:
+    """True when the kernel's own code raised exc, not a map it called:
+    there a ValueError can only come from unpacking a map's result."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_filename == _KERNEL_FILE
+
+
 def simulate(
     system: ImpulsiveSystem,
     t0: float,
@@ -166,13 +250,17 @@ def simulate(
 ) -> Trajectory:
     """Integrate the flow with classical RK4 and apply jumps exactly.
 
-    The state is carried as a plain list of floats; the flow and jump
-    maps are called as h(t, x, u) with sequences and must return a
-    sequence of the state dimension.  If |x| leaves the divergence
-    radius the run stops with status "diverged" (the crossing sample is
-    kept).  A NaN or infinite state raises NonFiniteState when strict,
-    otherwise the run stops with status "step-failure" at the last
-    finite sample.
+    One kernel call (see `_kernel`) steps each constant-input segment.
+    The state is carried as a list of floats; the flow map is called
+    exactly four times per step and the jump map once per applied jump,
+    both as h(t, x, u) with x a list and u a tuple, and each must return
+    a sequence of the state dimension, else InvalidSystem.  If |x| leaves
+    the divergence radius the run stops with status "diverged" (the
+    crossing sample is kept).  A NaN or infinite state, or an arithmetic
+    error raised by a map (OverflowError, ZeroDivisionError, ValueError
+    such as a math domain error), raises NonFiniteState when strict,
+    chained from the map's error; otherwise the run stops with status
+    "step-failure" at the last finite sample.
     """
     if horizon < t0:
         raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
@@ -188,82 +276,59 @@ def simulate(
             f"input has dimension {w.u.dim}, system expects {system.dim_u}"
         )
     jump_times = w.sigma.materialize(horizon)
-    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints)
+    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints).tolist()
     jump_set = set(float(t) for t in jump_times if t > t0)
 
+    segment, jump = _kernel(len(x))
     f = system.flow
     g = system.jump
     times = [float(t0)]
-    states = [list(x)]
+    states = [x]
     records: list[JumpRecord] = []
     status = STATUS_COMPLETE
-
-    def abort_nonfinite(t_at: float) -> str:
-        if strict:
-            raise NonFiniteState(f"state became non-finite at t={t_at:.6g}")
-        return STATUS_STEP_FAILURE
-
-    done = False
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        a = float(a)
-        b = float(b)
-        if b <= a:  # degenerate window (horizon == t0)
-            continue
-        useg = tuple(float(v) for v in w.u.value_at(a))
-        nsub = max(1, math.ceil((b - a) / step - 1e-9))
-        h = (b - a) / nsub
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        for i in range(nsub):
-            t = a + i * h
-            k1 = f(t, x, useg)
-            x2 = [xi + h2 * ki for xi, ki in zip(x, k1)]
-            k2 = f(t + h2, x2, useg)
-            x3 = [xi + h2 * ki for xi, ki in zip(x, k2)]
-            k3 = f(t + h2, x3, useg)
-            x4 = [xi + h * ki for xi, ki in zip(x, k3)]
-            k4 = f(t + h, x4, useg)
-            x = [
-                xi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)
-            ]
-            t_next = float(b) if i == nsub - 1 else a + (i + 1) * h
-            s2 = math.fsum(v * v for v in x)
-            if not s2 <= _DIVERGE_SQ:
+    failed_at = 0.0
+    cause = None
+    try:
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b <= a:  # degenerate window (horizon == t0)
+                continue
+            useg = tuple(float(v) for v in w.u.value_at(a))
+            nsub = max(1, math.ceil((b - a) / step - 1e-9))
+            x, t_stop = segment(f, a, b, nsub, (b - a) / nsub, x, useg, times, states)
+            if t_stop is not None:
                 if all(math.isfinite(v) for v in x):
-                    times.append(t_next)
-                    states.append(list(x))
+                    times.append(t_stop)
+                    states.append(x)
                     status = STATUS_DIVERGED
                 else:
-                    status = abort_nonfinite(t_next)
-                done = True
+                    status, failed_at = STATUS_STEP_FAILURE, t_stop
                 break
-            times.append(t_next)
-            states.append(list(x))
-        if done:
-            break
-        bf = float(b)
-        if bf in jump_set:
-            upost = tuple(float(v) for v in w.u.value_at(bf))
-            incr = g(bf, x, upost)
-            x_post = [xi + gi for xi, gi in zip(x, incr)]
-            s2 = math.fsum(v * v for v in x_post)
-            if not s2 <= _DIVERGE_SQ:
-                if all(math.isfinite(v) for v in x_post):
-                    records.append(
-                        JumpRecord(bf, np.asarray(x, dtype=float), np.asarray(x_post))
-                    )
-                    states[-1] = list(x_post)
-                    status = STATUS_DIVERGED
-                else:
+            if b in jump_set:
+                upost = tuple(float(v) for v in w.u.value_at(b))
+                x_post = jump(g, b, x, upost)
+                outside = _outside(x_post)
+                if outside and not all(math.isfinite(v) for v in x_post):
                     # drop the bad post-jump value, keep the pre state
-                    status = abort_nonfinite(bf)
-                break
-            records.append(
-                JumpRecord(bf, np.asarray(x, dtype=float), np.asarray(x_post, dtype=float))
-            )
-            states[-1] = list(x_post)
-            x = x_post
+                    status, failed_at = STATUS_STEP_FAILURE, b
+                    break
+                records.append(
+                    JumpRecord(b, np.asarray(x, dtype=float), np.asarray(x_post, dtype=float))
+                )
+                states[-1] = x_post
+                if outside:
+                    status = STATUS_DIVERGED
+                    break
+                x = x_post
+    except (ArithmeticError, ValueError) as exc:
+        if isinstance(exc, ValueError) and _raised_by_kernel(exc):
+            raise InvalidSystem(
+                f"a map of system {system.name!r} did not return "
+                f"{system.dim_x} components: {exc}"
+            ) from exc
+        status, failed_at, cause = STATUS_STEP_FAILURE, times[-1], exc
+    if status == STATUS_STEP_FAILURE and strict:
+        what = "state became non-finite" if cause is None else f"a map raised {cause!r}"
+        raise NonFiniteState(f"{what} at t={failed_at:.6g}") from cause
 
     return Trajectory(
         t0=float(t0),

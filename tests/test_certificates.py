@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import impstab
 from impstab.certificates import (
     CheckReport,
     EpsDeltaConfig,
@@ -48,7 +53,7 @@ from impstab.library import (
     pure_jump_weak_certificate,
 )
 from impstab.sim import simulate
-from impstab.systems import ImpulsiveSystem
+from impstab.systems import ImpulsiveSystem, system_from_config
 
 LN_100 = 4.605170185988092  # settling of dx/dt = -x from r=10 to eps=0.1
 
@@ -59,6 +64,21 @@ def hybrid(u, *times):
 
 def zero_system():
     return get_example("zero")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats (about a second to import) loads at the first falsify
+    call, not with the package."""
+    code = "import sys, impstab; print('scipy.stats' in sys.modules)"
+    src = str(Path(impstab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestCertificateTypes:
@@ -338,6 +358,22 @@ class TestFalsify:
         rep = falsify(cert, zero_system(), empty_family(), budget=10, seed=0)
         assert rep.verdict == "violated"
         assert rep.witness.margin > 0.0
+
+    def test_map_error_makes_trial_inconclusive(self):
+        """A map raising an arithmetic error ends its trial, not the search."""
+        sys1 = system_from_config(
+            {
+                "name": "decay-until-domain-error",
+                "dim_x": 1,
+                "dim_u": 1,
+                "flow": ["-x1 + 0*sqrt(x1*x1 - 1)"],
+                "jump": ["0.0"],
+            }
+        )
+        rep = falsify(decaying_guas_certificate(3.0, 0.5), sys1, empty_family(), budget=9)
+        assert rep.verdict == "pass"
+        assert rep.trials == 9
+        assert rep.details["inconclusive_trials"] == 9
 
     def test_bad_arguments(self):
         cert = decaying_guas_certificate()

@@ -58,6 +58,16 @@ class TestSimulate:
         assert main(["simulate", "--system", "not-a-system"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_map_error_reported_as_step_failure(self, capsys):
+        system = json.dumps(
+            {"name": "domain", "dim_x": 1, "dim_u": 1, "flow": ["sqrt(x1)"], "jump": ["0.0"]}
+        )
+        code = main(["simulate", "--system", system, "--x0", "-1.0", "--horizon", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "status: step-failure" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestCheck:
     def test_valid_certificate_exit_zero(self, capsys):

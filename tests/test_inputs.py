@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impstab.comparison import identity, power
-from impstab.errors import InvalidInterval
+from impstab.errors import InvalidInterval, OutOfRange
 from impstab.impulses import ImpulseSequence
 from impstab.inputs import (
     EnergyProfile,
@@ -157,6 +157,18 @@ class TestEnergy:
         assert all(vals[i] == prof.before_jump(float(t)) for i, t in enumerate(ts))
         # at each jump time that jump's charge lifts `at` above the left limit
         assert np.all(prof.at(ts[-4:]) > vals[-4:])
+
+    def test_query_past_horizon_raises(self):
+        """Past its horizon the profile raises instead of clamping: here the
+        clamped value would be 2.0 where the energy over (0, 3] is 4.0."""
+        w = hybrid(constant_signal(1.0), 0.5)
+        prof = EnergyProfile(w, identity(), identity(), 0.0, 1.0)
+        assert prof.at(1.0) == 2.0
+        assert energy_norm(w, identity(), identity(), 0.0, 3.0) == 4.0
+        with pytest.raises(OutOfRange):
+            prof.at(3.0)
+        with pytest.raises(OutOfRange):
+            prof.before_jump(np.array([0.5, 3.0]))
 
     def test_monotone(self):
         w = hybrid(pulse_train(1.5, 1.0, 0.5, 4), 0.9, 1.9, 2.9)

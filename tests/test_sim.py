@@ -14,18 +14,20 @@ from impstab.inputs import (
     pulse_train,
     zero_signal,
 )
-from impstab.library import make_linear_system
+from impstab.library import EXAMPLE_CONFIGS, make_linear_system
 from impstab.sim import (
+    _DIVERGE_SQ,
     DIVERGENCE_RADIUS,
     STATUS_COMPLETE,
     STATUS_DIVERGED,
     STATUS_STEP_FAILURE,
     Trajectory,
+    _segment_bounds,
     closed_form_linear_impulsive,
     integral_residual,
     simulate,
 )
-from impstab.systems import ImpulsiveSystem
+from impstab.systems import ImpulsiveSystem, system_from_config
 
 # x(1) for dx/dt = -x, x(0) = 1, one jump halving the state at t = 0.5:
 # 0.5 * e^{-1}.
@@ -148,6 +150,16 @@ class TestFailureModes:
         assert traj.end_time < 30.0
         assert np.all(np.isfinite(traj.states))
 
+    def test_divergence_past_fsum_range(self):
+        """Finite squares whose sum overflows still mean divergence."""
+        big = 1.2e154  # 2 * big**2 overflows, big**2 does not
+        sys2 = ImpulsiveSystem(
+            "blow-up", 2, 1, lambda t, x, u: (0.0, 0.0), lambda t, x, u: (big, big)
+        )
+        traj = simulate(sys2, 0.0, [0.0, 0.0], hybrid(zero_signal(), 0.5), 1.0, 1e-2)
+        assert traj.status == STATUS_DIVERGED
+        assert traj.end_time == 0.5 and traj.states[-1].tolist() == [big, big]
+
     def test_nonfinite_strict_raises(self):
         def bad_flow(t, x, u):
             return (float("nan"),) if t > 1.0 else (-x[0],)
@@ -263,3 +275,201 @@ class TestSerialization:
         assert traj.end_time == 2.5
         assert traj.dim == 1
         assert math.isclose(float(traj.x0[0]), 1.7)
+
+
+def reference_rk4(system, t0, x0, w, horizon, step):
+    """The per-component RK4 loop the segment kernel replaced, kept as the
+    oracle for bit-identity: (times, states, jumps, status), never raising
+    on a non-finite state."""
+    jump_times = w.sigma.materialize(horizon)
+    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints)
+    jump_set = set(float(t) for t in jump_times if t > t0)
+    f, g = system.flow, system.jump
+    x = [float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))]
+    times, states, jumps = [float(t0)], [list(x)], []
+
+    def outside(v):
+        return not math.fsum(c * c for c in v) <= _DIVERGE_SQ
+
+    def finite(v):
+        return all(math.isfinite(c) for c in v)
+
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b <= a:
+            continue
+        u = tuple(float(v) for v in w.u.value_at(a))
+        nsub = max(1, math.ceil((b - a) / step - 1e-9))
+        h = (b - a) / nsub
+        h2, h6 = 0.5 * h, h / 6.0
+        for i in range(nsub):
+            t = a + i * h
+            k1 = f(t, x, u)
+            k2 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k1)], u)
+            k3 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k2)], u)
+            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)], u)
+            x = [
+                xi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)
+            ]
+            t_next = b if i == nsub - 1 else a + (i + 1) * h
+            if outside(x):
+                if not finite(x):
+                    return times, np.asarray(states), jumps, STATUS_STEP_FAILURE
+                times.append(t_next)
+                states.append(list(x))
+                return times, np.asarray(states), jumps, STATUS_DIVERGED
+            times.append(t_next)
+            states.append(list(x))
+        if b in jump_set:
+            incr = g(b, x, tuple(float(v) for v in w.u.value_at(b)))
+            x_post = [xi + gi for xi, gi in zip(x, incr)]
+            if outside(x_post) and not finite(x_post):
+                return times, np.asarray(states), jumps, STATUS_STEP_FAILURE
+            jumps.append((b, list(x), list(x_post)))
+            states[-1] = list(x_post)
+            if outside(x_post):
+                return times, np.asarray(states), jumps, STATUS_DIVERGED
+            x = x_post
+    return times, np.asarray(states), jumps, STATUS_COMPLETE
+
+
+def counted(system):
+    """The system with call-counting maps; returns (system, counts)."""
+    counts = {"flow": 0, "jump": 0}
+
+    def flow(t, x, u):
+        counts["flow"] += 1
+        return system.flow(t, x, u)
+
+    def jump(t, x, u):
+        counts["jump"] += 1
+        return system.jump(t, x, u)
+
+    return ImpulsiveSystem(system.name, system.dim_x, system.dim_u, flow, jump), counts
+
+
+class TestSegmentKernel:
+    """The unrolled kernel reproduces the per-component loop bit for bit
+    and calls the flow map exactly four times per step."""
+
+    def assert_identical(self, system, t0, x0, w, horizon, step):
+        counting, counts = counted(system)
+        traj = simulate(counting, t0, x0, w, horizon, step, strict=False)
+        times, states, jumps, status = reference_rk4(system, t0, x0, w, horizon, step)
+        assert traj.status == status
+        assert np.array_equal(traj.times, np.asarray(times))
+        assert np.array_equal(traj.states, states)
+        assert [rec.time for rec in traj.jumps] == [j[0] for j in jumps]
+        for rec, (_, pre, post) in zip(traj.jumps, jumps):
+            assert np.array_equal(rec.x_pre, pre)
+            assert np.array_equal(rec.x_post, post)
+        if status != STATUS_STEP_FAILURE:  # a failed step made calls but left no sample
+            assert counts["flow"] == 4 * (len(traj.times) - 1)
+            assert counts["jump"] == len(traj.jumps)
+        return traj
+
+    def test_lin_contract_random_inputs(self):
+        system = system_from_config(EXAMPLE_CONFIGS["lin-contract"])
+        rng = np.random.default_rng(11)
+        for k in range(8):
+            t0 = float(rng.uniform(0.0, 2.0))
+            u = InputSignal(np.sort(rng.uniform(t0, t0 + 5.0, 4)), rng.uniform(-3, 3, (4, 1)))
+            w = HybridInput(u, periodic_family(0.5).sampler(k, 10.0))
+            traj = self.assert_identical(system, t0, [rng.uniform(-5, 5)], w, t0 + 5.0, 1e-2)
+            assert traj.status == STATUS_COMPLETE and traj.jumps
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {
+                "name": "damped-osc", "dim_x": 2, "dim_u": 1,
+                "flow": ["x2", "-x1 - 0.1*x2 + u1"], "jump": ["0.1*x1", "-0.5*x2"],
+            },
+            {
+                "name": "coupled", "dim_x": 3, "dim_u": 2,
+                "flow": ["-x1 + x2*x3", "-x2 + sin(u1)", "-2*x3 + u2*x1"],
+                "jump": ["-0.5*x1", "0.1*x3", "x2 - x3"],
+            },
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_config_systems(self, cfg):
+        system = system_from_config(cfg)
+        rng = np.random.default_rng(cfg["dim_x"])
+        for k in range(3):
+            vals = rng.uniform(-2, 2, (3, cfg["dim_u"]))
+            u = InputSignal(np.sort(rng.uniform(0.0, 3.0, 3)), vals)
+            w = HybridInput(u, periodic_family(0.7).sampler(k, 10.0))
+            x0 = rng.uniform(-3, 3, cfg["dim_x"])
+            self.assert_identical(system, 0.1 * k, x0, w, 0.1 * k + 3.0, 0.013)
+
+    def test_diverging_runs(self):
+        w = HybridInput(zero_signal(), periodic_family(0.5).sampler(0, 40.0))
+        in_flow = self.assert_identical(make_linear_system(4.0, 3.0), 0.0, [1.0], w, 30.0, 1e-2)
+        at_jump = self.assert_identical(make_linear_system(2.0, 1e30), 0.0, [1.0], w, 30.0, 1e-2)
+        for traj in (in_flow, at_jump):
+            assert traj.status == STATUS_DIVERGED
+            assert traj.norms()[-1] >= DIVERGENCE_RADIUS  # crossing sample kept
+        assert at_jump.end_time == at_jump.jumps[-1].time
+
+    def test_nonfinite_stops(self):
+        nan_flow = ImpulsiveSystem(
+            "nan-flow", 1, 1,
+            lambda t, x, u: (float("nan"),) if t > 1.0 else (-x[0],),
+            lambda t, x, u: (0.0,),
+        )
+        inf_jump = ImpulsiveSystem(
+            "inf-jump", 1, 1, lambda t, x, u: (-x[0],), lambda t, x, u: (float("inf"),)
+        )
+        w = hybrid(zero_signal(), 0.5, 1.5)
+        for system in (nan_flow, inf_jump):
+            traj = self.assert_identical(system, 0.0, [1.0], w, 2.0, 1e-2)
+            assert traj.status == STATUS_STEP_FAILURE
+            assert np.all(np.isfinite(traj.states))
+
+    def test_zero_length_window(self):
+        system = system_from_config(EXAMPLE_CONFIGS["lin-contract"])
+        w = hybrid(constant_signal(1.0), 1.0)
+        traj = self.assert_identical(system, 1.0, [2.0], w, 1.0, 1e-2)
+        assert len(traj.times) == 1
+
+
+class TestMapErrors:
+    """An arithmetic error raised by a map ends the run as a step failure;
+    a map of the wrong size is a malformed system."""
+
+    @pytest.mark.parametrize(
+        "expr, x0, after",
+        [("exp(x1)", 5.0, 1), ("1/x1", 0.0, 0), ("sqrt(x1)", -1.0, 0)],
+        ids=["overflow", "zero-division", "domain"],
+    )
+    def test_error_is_step_failure(self, expr, x0, after):
+        system = system_from_config(
+            {"name": "raises", "dim_x": 1, "dim_u": 1, "flow": [expr], "jump": ["0.0"]}
+        )
+        w = hybrid(zero_signal())
+        traj = simulate(system, 0.0, [x0], w, 1.0, 1e-2, strict=False)
+        assert traj.status == STATUS_STEP_FAILURE
+        assert len(traj.times) == 1 + after  # samples up to the last finished step
+        assert traj.states[0][0] == x0 and np.all(np.isfinite(traj.states))
+        with pytest.raises(NonFiniteState) as info:
+            simulate(system, 0.0, [x0], w, 1.0, 1e-2)
+        assert isinstance(info.value.__cause__, (OverflowError, ZeroDivisionError, ValueError))
+
+    def test_jump_map_error_keeps_pre_jump_state(self):
+        system = system_from_config(
+            {"name": "raises", "dim_x": 1, "dim_u": 1, "flow": ["-x1"], "jump": ["log(x1 - 2)"]}
+        )
+        traj = simulate(system, 0.0, [1.0], hybrid(zero_signal(), 0.5), 1.0, 1e-2, strict=False)
+        assert traj.status == STATUS_STEP_FAILURE
+        assert traj.end_time == 0.5 and not traj.jumps
+        assert traj.states[-1][0] == pytest.approx(math.exp(-0.5), abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["flow", "jump"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_component_count_is_invalid_system(self, which, size):
+        ok = {"flow": lambda t, x, u: (-x[0], -x[1]), "jump": lambda t, x, u: (0.0, 0.0)}
+        ok[which] = lambda t, x, u: tuple([0.0] * size)
+        system = ImpulsiveSystem("wrong-size", 2, 1, ok["flow"], ok["jump"])
+        with pytest.raises(InvalidSystem):
+            simulate(system, 0.0, [1.0, 1.0], hybrid(zero_signal(), 0.5), 1.0, 1e-2, strict=False)
