@@ -54,7 +54,6 @@ from .comparison import (
 from .errors import (
     ClassViolation,
     ConfigError,
-    HorizonExceeded,
     HypothesisFailed,
     ImpstabError,
     InconsistentInput,

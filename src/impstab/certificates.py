@@ -330,7 +330,8 @@ def check_certificate(
     cert: Certificate, traj: Trajectory, w: HybridInput | None = None
 ) -> CheckReport:
     if isinstance(cert, GuasCertificate):
-        return check_guas(cert, traj, w.sigma if w is not None else None)
+        sigma = _resolve_input(traj, w).sigma if w is not None else None
+        return check_guas(cert, traj, sigma)
     if isinstance(cert, UbebsCertificate):
         return check_ubebs(cert, traj, w)
     if isinstance(cert, IissCertificate):
@@ -462,6 +463,43 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial + 1
 
 
+_HALTON_BASES = (2, 3, 5, 7)
+
+
+def _scrambled_halton(n: int, seed: int) -> np.ndarray:
+    """First n points of the 4-D scrambled Halton sequence, bit for bit
+    those of ``scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed)``.
+
+    Base b gets ceil(54 / log2 b) - 1 digit permutations, each a shuffle
+    of 0..b-1 drawn in turn from one generator.  A coordinate is the
+    sequential sum, least significant digit first, of the permuted
+    digits of the point index times weights 1/b, 1/b^2, ... formed by
+    repeated division (dividing by b^(j+1) instead is off by an ulp).
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    out = np.empty((n, len(_HALTON_BASES)))
+    for col, base in enumerate(_HALTON_BASES):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        weights = [1.0 / base]
+        for _ in range(count - 1):
+            weights.append(weights[-1] / base)
+        weights = np.array(weights)
+        # digits past the first `used` are 0 for every index below n, so
+        # their terms are one constant per digit
+        used = 1
+        while base**used < n:
+            used += 1
+        digits = index // base ** np.arange(used)[:, None] % base
+        terms = np.repeat((perms[:, 0] * weights)[:, None], n, axis=1)
+        terms[:used] = perms[np.arange(used)[:, None], digits] * weights[:used, None]
+        out[:, col] = np.cumsum(terms, axis=0)[-1]
+    return out
+
+
 def falsify(
     cert: Certificate,
     system: ImpulsiveSystem,
@@ -489,11 +527,7 @@ def falsify(
         UbebsCertificate: "falsify-ubebs",
         IissCertificate: "falsify-iiss",
     }[type(cert)]
-    # imported here: scipy.stats costs about a second and most of the
-    # package's import memory, and only falsify needs it
-    from scipy.stats import qmc
-
-    halton = qmc.Halton(d=4, scramble=True, seed=seed).random(budget)
+    halton = _scrambled_halton(budget, seed)
     worst = -math.inf
     inconclusive = 0
     for trial in range(budget):
@@ -666,23 +700,18 @@ def _scaled_to_energy(
     if target <= 0.0 or sig.is_zero():
         z = zero_signal(sig.dim)
         return z, 0.0
-    rho1, rho2 = gain
-
-    def energy_of(scale: float) -> float:
-        w = HybridInput(sig.scaled(scale), sigma)
-        return float(EnergyProfile(w, rho1, rho2, t0, t_end).at(t_end))
-
-    base = energy_of(1.0)
+    profile = EnergyProfile(HybridInput(sig, sigma), *gain, t0, t_end)
+    base = profile.scaled_total(1.0)
     if base <= target:
         return sig, base
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if energy_of(mid) <= target:
+        if profile.scaled_total(mid) <= target:
             lo = mid
         else:
             hi = mid
-    return sig.scaled(lo), energy_of(lo)
+    return sig.scaled(lo), profile.scaled_total(lo)
 
 
 def _sample_x0(rng: np.random.Generator, dim: int, r: float, k: int) -> np.ndarray:

@@ -25,10 +25,6 @@ class InvalidPhi(ImpstabError, ValueError):
     """A jump-count envelope is not a valid nondecreasing bound."""
 
 
-class HorizonExceeded(ImpstabError, RuntimeError):
-    """A generator-backed sequence cannot cover the requested horizon."""
-
-
 class MissingEnvelope(ImpstabError, LookupError):
     """A growth-envelope check was requested but no envelope is attached."""
 

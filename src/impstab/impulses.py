@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HorizonExceeded, InvalidInterval, InvalidPhi
+from .errors import InvalidInterval, InvalidPhi
 
 
 def _validated_times(arr: np.ndarray, what: str) -> np.ndarray:
@@ -77,9 +77,10 @@ class ImpulseSequence:
     def materialize(self, horizon: float) -> np.ndarray:
         """All jump times <= horizon, ascending.
 
-        Generator-backed sequences raise HorizonExceeded when they cannot
-        cover the horizon.  Results are cached grow-only, so repeated
-        calls with any horizon up to the largest one seen are cheap.
+        A generator's output is taken as every jump up to the horizon;
+        coverage is not checked.  Results are cached grow-only, so
+        repeated calls with any horizon up to the largest one seen are
+        cheap.
         """
         horizon = float(horizon)
         if not math.isfinite(horizon):

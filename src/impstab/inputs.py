@@ -42,19 +42,18 @@ class InputSignal:
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        # the rows with a zero row appended: row index -1 (a time before
+        # the first breakpoint) then reads the zero signal
+        padded = np.vstack((vals, np.zeros((1, vals.shape[1]))))
+        padded.setflags(write=False)
+        object.__setattr__(self, "_padded", padded)
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
     def value_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.breakpoints, t, "right")) - 1
-        if idx < 0:
-            return np.zeros(self.dim)
-        return self.values[idx]
-
-    def norm_at(self, t: float) -> float:
-        return float(np.linalg.norm(self.value_at(t)))
+        return self._padded[int(np.searchsorted(self.breakpoints, t, "right")) - 1]
 
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0.0))
@@ -65,16 +64,13 @@ class InputSignal:
         if b < a:
             raise InvalidInterval(f"window end {b} precedes start {a}")
         bp = self.breakpoints
-        starts = [a]
-        rows = []
-        first = int(np.searchsorted(bp, a, "right")) - 1
-        rows.append(self.values[first] if first >= 0 else np.zeros(self.dim))
-        inside = bp[(bp > a) & (bp < b)]
-        for t in inside:
-            starts.append(float(t))
-            rows.append(self.values[int(np.searchsorted(bp, t, "right")) - 1])
-        ends = starts[1:] + [b]
-        return np.asarray(starts), np.asarray(ends), np.asarray(rows)
+        # breakpoints strictly inside (a, b) are bp[lo:hi]
+        lo = int(np.searchsorted(bp, a, "right"))
+        hi = max(lo, int(np.searchsorted(bp, b, "left")))
+        inside = bp[lo:hi]
+        starts = np.concatenate(([a], inside))
+        ends = np.concatenate((inside, [b]))
+        return starts, ends, self._padded[np.arange(lo - 1, hi)]
 
     def canonical(self) -> "InputSignal":
         """Merge adjacent pieces with equal values; drop a leading zero piece."""
@@ -230,12 +226,26 @@ def truncate(w: HybridInput, t0: float, t: float) -> HybridInput:
     return HybridInput(InputSignal(np.asarray(bp), np.asarray(vals)), w.sigma)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as np.linalg.norm(row) computes it.
+
+    A one-column row's norm is the root of its one rounded square, which
+    every summation order gives; wider rows take a call each, since the
+    per-vector call and an axis=1 reduction may round differently.
+    """
+    if rows.shape[1] == 1:
+        return np.sqrt(rows[:, 0] * rows[:, 0])
+    return np.array([float(np.linalg.norm(row)) for row in rows])
+
+
 class EnergyProfile:
     """Cumulative energy of a hybrid input over (t0, .] up to a horizon.
 
     The flow part is a piecewise-linear polyline (the integrand is
     constant per piece), so evaluation anywhere is exact interpolation.
-    The jump part is a step function over the jump times.
+    The jump part is a step function over the jump times.  The piece
+    lengths, piece rows and each jump's row are kept, so `scaled_total`
+    can price the same input scaled by any factor without rebuilding.
     """
 
     def __init__(
@@ -250,26 +260,39 @@ class EnergyProfile:
             raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
         self.t0 = float(t0)
         self.horizon = float(horizon)
-        starts, ends, rows = w.u.piece_table(self.t0, self.horizon)
-        rates = eval_array(rho1, np.linalg.norm(rows, axis=1))
-        knots = [self.t0]
-        cum = [0.0]
-        acc = 0.0
-        for s, e, rate in zip(starts, ends, rates):
-            if e > s:
-                acc += (e - s) * float(rate)
-                knots.append(float(e))
-                cum.append(acc)
-        self._knots = np.asarray(knots)
-        self._cum = np.asarray(cum)
+        self._rho1 = rho1
+        self._rho2 = rho2
+        starts, ends, self._rows = w.u.piece_table(self.t0, self.horizon)
+        self._keep = ends > starts
+        self._lengths = (ends - starts)[self._keep]
+        self._knots = np.concatenate(([self.t0], ends[self._keep]))
+        self._cum = self._flow_cum(self._rows)
         taus = w.sigma.materialize(self.horizon)
         taus = taus[taus > self.t0]
         self._taus = taus
-        if taus.size:
-            mags = np.array([float(np.linalg.norm(w.u.value_at(float(t)))) for t in taus])
-            self._jump_cum = np.concatenate(([0.0], np.cumsum(eval_array(rho2, mags))))
-        else:
-            self._jump_cum = np.zeros(1)
+        # each jump reads the right-continuous row at its time; index -1
+        # (before the first breakpoint) is the zero row
+        self._padded = w.u._padded
+        self._jump_row = np.searchsorted(w.u.breakpoints, taus, "right") - 1
+        self._jump_cum = self._jump_part(self._padded)
+
+    def _flow_cum(self, rows: np.ndarray) -> np.ndarray:
+        rates = eval_array(self._rho1, np.linalg.norm(rows, axis=1))
+        # sequential running sum from 0.0, one term per nonempty piece
+        return np.cumsum(np.concatenate(([0.0], self._lengths * rates[self._keep])))
+
+    def _jump_part(self, padded: np.ndarray) -> np.ndarray:
+        if not self._taus.size:
+            return np.zeros(1)
+        mags = eval_array(self._rho2, _row_norms(padded)[self._jump_row])
+        return np.concatenate(([0.0], np.cumsum(mags)))
+
+    def scaled_total(self, c: float) -> float:
+        """Energy over (t0, horizon] of the same input with its signal
+        scaled by c; bit for bit `at(horizon)` of a profile built from
+        the scaled signal."""
+        flow = self._flow_cum(c * self._rows)[-1]
+        return float(flow + self._jump_part(c * self._padded)[-1])
 
     def flow_part(self, t):
         return np.interp(t, self._knots, self._cum)

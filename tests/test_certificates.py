@@ -21,6 +21,7 @@ from impstab.certificates import (
     UbebsCertificate,
     Witness,
     _check_points,
+    _scrambled_halton,
     certificate_from_config,
     check_certificate,
     check_eps_delta_conditions,
@@ -67,9 +68,14 @@ def zero_system():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats (about a second to import) loads at the first falsify
-    call, not with the package."""
-    code = "import sys, impstab; print('scipy.stats' in sys.modules)"
+    """scipy (scipy.stats costs about a second and 60 MB to import) loads
+    neither with the package nor in falsify."""
+    code = (
+        "import sys, impstab\n"
+        "impstab.falsify(impstab.lin_contract_iiss_certificate(),"
+        " impstab.get_example('lin-contract'), impstab.periodic_family(0.5), budget=2)\n"
+        "print('scipy' in sys.modules)"
+    )
     src = str(Path(impstab.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -79,6 +85,16 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 12345])
+@pytest.mark.parametrize("n", [1, 12, 300])
+def test_halton_matches_scipy(seed, n):
+    """falsify's low-discrepancy points are scipy's scrambled Halton points,
+    bit for bit."""
+    qmc = pytest.importorskip("scipy.stats").qmc
+    want = qmc.Halton(d=4, scramble=True, seed=seed).random(n)
+    assert np.array_equal(_scrambled_halton(n, seed), want)
 
 
 class TestCertificateTypes:
@@ -233,6 +249,20 @@ class TestIissAndUbebs:
             check_iiss(lin_contract_iiss_certificate(), traj, other)
         rep = check_iiss(lin_contract_iiss_certificate(), traj, w)
         assert rep.verdict == "pass"
+
+    def test_inconsistent_input_rejected_for_decay(self):
+        """A decay check refuses a supplied input the trajectory was not
+        driven by, like the energy checks."""
+        w = hybrid(zero_signal(), 1.0)
+        traj = simulate(get_example("lin-contract"), 0.0, [1.0], w, 2.0, 1e-2)
+        cert = derive_guas_from_iiss(lin_contract_iiss_certificate())
+        with pytest.raises(InconsistentInput):
+            check_certificate(cert, traj, hybrid(zero_signal(), 1.5))
+        with pytest.raises(InconsistentInput):
+            check_certificate(cert, traj, hybrid(constant_signal(1.0), 1.0))
+        assert check_certificate(cert, traj, w).verdict == "pass"
+        # an equal input built apart from the trajectory's is accepted
+        assert check_certificate(cert, traj, hybrid(zero_signal(), 1.0)).verdict == "pass"
 
     def test_missing_input_rejected(self):
         sys1 = get_example("lin-contract")

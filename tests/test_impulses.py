@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from impstab.errors import HorizonExceeded, InvalidInterval, InvalidPhi
+from impstab.errors import InvalidInterval, InvalidPhi
 from impstab.impulses import (
     ImpulseSequence,
     count_jumps,
