@@ -361,7 +361,12 @@ def derive_ubebs_from_iiss(cert: IissCertificate) -> UbebsCertificate:
 
 
 def derive_strong_from_weak(cert: GuasCertificate, phi) -> GuasCertificate:
-    """Lift an elapsed-time bound to strong time with a count envelope."""
+    """Lift an elapsed-time bound to strong time with a count envelope.
+
+    A ``phi`` that takes numpy arrays (``math.ceil``, ``math.floor`` and
+    the stock families' ``uib_phi`` do) makes the lifted check one
+    masked bisection over all check points; see ``lift_weak_beta``.
+    """
     if cert.mode != "weak":
         raise ClassViolation("lifting applies to weak-mode certificates")
     return GuasCertificate(beta=lift_weak_beta(cert.beta, phi), mode="strong")

@@ -10,7 +10,7 @@ by bisection and never requires a symbolic inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ class ComparisonFn:
     declared_class: str = "Kinf"  # "K" or "Kinf"
     domain_hint: float = 1e6
     name: str = ""
-    config: dict | None = field(default=None, compare=False)
 
     def __call__(self, r):
         return self.evaluator(r)
@@ -106,7 +105,6 @@ class KLFn:
     r_hint: float = 1e6
     s_hint: float = 1e4
     name: str = ""
-    config: dict | None = field(default=None, compare=False)
 
     def __call__(self, r, s):
         return self.evaluator(r, s)
@@ -387,6 +385,12 @@ def ubebs_alpha_from_iiss(alpha: ComparisonFn, beta: KLFn) -> ComparisonFn:
     )
 
 
+# Scalar rounding functions an envelope may be given as, with the numpy
+# forms that give the same values on arrays.  Matched by identity, since
+# an envelope need not be hashable.
+_ARRAY_FORMS = ((math.ceil, np.ceil), (math.floor, np.floor))
+
+
 def lift_weak_beta(
     beta: KLFn, phi: Callable[[float], float], s_probe: float | None = None
 ) -> KLFn:
@@ -397,6 +401,14 @@ def lift_weak_beta(
     g(v) = inf{s >= 0 : s + phi(s) >= v}; bisection returns the left
     endpoint of the final bracket, which keeps the lift conservative:
     beta(r, s) <= lifted(r, s + phi(s)) pointwise.
+
+    Arrays of strong times are lifted by one masked bisection when
+    ``phi`` takes arrays: ``math.ceil`` and ``math.floor`` are read as
+    ``np.ceil`` and ``np.floor``, and any other envelope qualifies when
+    it maps the probe array to values of the same shape equal to its
+    scalar values.  Each element then stops where its own scalar
+    bisection would, so both paths give the same bits.  Envelopes that
+    take scalars only are bisected one element at a time.
     """
     probe_hi = float(s_probe if s_probe is not None else beta.s_hint)
     probe = np.concatenate(
@@ -408,6 +420,12 @@ def lift_weak_beta(
     if np.any(np.diff(pv) < -1e-12 * (1.0 + np.abs(pv[:-1]))):
         at = probe[int(np.argmax(np.diff(pv) < 0))]
         raise InvalidPhi(f"envelope decreases near s={at:.6g}")
+    phi_arr = next((arr for fn, arr in _ARRAY_FORMS if phi is fn), phi)
+    try:
+        takes_arrays = np.array_equal(np.asarray(phi_arr(probe), dtype=float), pv)
+    except Exception:
+        # an envelope written for scalars may fail on arrays in any way
+        takes_arrays = False
 
     phi0 = float(phi(1e-12))  # limit from the right at 0
 
@@ -431,7 +449,37 @@ def lift_weak_beta(
                 lo = mid
         return lo
 
+    def g_masked(v: np.ndarray) -> np.ndarray:
+        # each element leaves the doubling and the bisection after the
+        # same tests as its own g_scalar loop, so the bits match
+        out = np.zeros(v.size)
+        live = np.flatnonzero(~(v.ravel() <= phi0))
+        target = v.ravel()[live]
+        lo, hi, h = np.zeros(live.size), np.zeros(live.size), 1.0
+        for _ in range(200):
+            # elements still doubling share h: one scalar envelope call
+            hi[(hi == 0.0) & (h + float(phi(h)) >= target)] = h
+            if hi.all():
+                break
+            h *= 2.0
+        else:
+            raise InvalidPhi("envelope fails to grow past the target")
+        for _ in range(INVERT_MAX_ITER):
+            open_ = hi - lo > 1e-10 * (1.0 + hi)
+            if not open_.all():
+                out[live[~open_]] = lo[~open_]
+                live, lo, hi, target = live[open_], lo[open_], hi[open_], target[open_]
+            if live.size == 0:
+                break
+            mid = 0.5 * (lo + hi)
+            up = mid + np.asarray(phi_arr(mid), dtype=float) >= target
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        out[live] = lo
+        return out.reshape(v.shape)
+
     def g_vec(v: np.ndarray) -> np.ndarray:
+        if takes_arrays:
+            return g_masked(v)
         return np.array([g_scalar(float(x)) for x in v.ravel()]).reshape(v.shape)
 
     def ev(r, s):
@@ -459,7 +507,6 @@ def linear(k: float = 1.0, domain_hint: float = 1e6) -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=domain_hint,
         name=f"linear(k={k:g})",
-        config={"kind": "linear", "k": k},
     )
 
 
@@ -469,7 +516,6 @@ def identity() -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=1e6,
         name="identity",
-        config={"kind": "identity"},
     )
 
 
@@ -481,7 +527,6 @@ def power(p: float, scale: float = 1.0, domain_hint: float = 1e6) -> ComparisonF
         declared_class="Kinf",
         domain_hint=domain_hint,
         name=f"power(p={p:g})",
-        config={"kind": "power", "p": p, "scale": scale},
     )
 
 
@@ -494,7 +539,6 @@ def saturating(scale: float = 1.0) -> ComparisonFn:
         declared_class="K",
         domain_hint=1e6,
         name=f"saturating(scale={scale:g})",
-        config={"kind": "saturating", "scale": scale},
     )
 
 
@@ -505,7 +549,6 @@ def log_growth(scale: float = 1.0) -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=1e6,
         name=f"log-growth(scale={scale:g})",
-        config={"kind": "log-growth", "scale": scale},
     )
 
 
@@ -515,7 +558,6 @@ def exp_decay_kl(amp: float = 1.0, rate: float = 1.0) -> KLFn:
     return KLFn(
         lambda r, s: amp * r * np.exp(-rate * s),
         name=f"exp-decay(amp={amp:g}, rate={rate:g})",
-        config={"kind": "exp-decay", "amp": amp, "rate": rate},
     )
 
 
@@ -525,7 +567,6 @@ def rational_decay_kl(amp: float = 1.0, p: float = 1.0) -> KLFn:
     return KLFn(
         lambda r, s: amp * r / (1.0 + s) ** p,
         name=f"rational-decay(amp={amp:g}, p={p:g})",
-        config={"kind": "rational-decay", "amp": amp, "p": p},
     )
 
 

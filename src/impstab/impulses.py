@@ -255,7 +255,6 @@ class ImpulseFamily:
     sampler: Callable[[int, float], ImpulseSequence]
     description: str
     uib_phi: Callable[[float], float] | None = None
-    config: dict | None = None
 
 
 def empty_family() -> ImpulseFamily:
@@ -264,7 +263,6 @@ def empty_family() -> ImpulseFamily:
         sampler=lambda seed, horizon: empty,
         description="no jumps",
         uib_phi=lambda s: 0.0,
-        config={"name": "empty"},
     )
 
 
@@ -284,8 +282,7 @@ def periodic_family(period: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"jumps every {period:g} time units",
-        uib_phi=lambda s: math.ceil(s / period),
-        config={"name": "periodic", "period": period},
+        uib_phi=lambda s: np.ceil(s / period),
     )
 
 
@@ -312,8 +309,7 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"random gaps in [{min_gap:g}, {max_gap:g}]",
-        uib_phi=lambda s: math.floor(s / min_gap) + 1.0,
-        config={"name": "dwell", "min_gap": min_gap, "max_gap": max_gap},
+        uib_phi=lambda s: np.floor(s / min_gap) + 1.0,
     )
 
 
@@ -335,7 +331,6 @@ def finite_random_family(count: int, spread: float) -> ImpulseFamily:
         sampler=sample,
         description=f"{count} random jumps within (0, {spread:g}]",
         uib_phi=lambda s: float(count),
-        config={"name": "finite-random", "count": count, "spread": spread},
     )
 
 
@@ -366,8 +361,7 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"gaps shrinking from {first_gap:g} toward {min_gap:g}",
-        uib_phi=lambda s: math.floor(s / min_gap) + 1.0,
-        config={"name": "shrinking-gap", "first_gap": first_gap, "min_gap": min_gap},
+        uib_phi=lambda s: np.floor(s / min_gap) + 1.0,
     )
 
 

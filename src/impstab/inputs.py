@@ -208,8 +208,10 @@ def truncate(w: HybridInput, t0: float, t: float) -> HybridInput:
     """Zero the signal outside (t0, t]; jump times are left alone.
 
     The restricted signal keeps the original values on [t0, t) and is
-    zero from t on, which preserves every energy evaluation over
-    sub-windows of (t0, t] exactly.
+    zero from t on.  Energy over every sub-window of (t0, t] is kept,
+    except that a jump exactly at t is charged at the zeroed value: a
+    right-continuous piecewise-constant signal cannot keep u(t) and also
+    be zero after t.
     """
     if t < t0:
         raise InvalidInterval(f"window end {t} precedes start {t0}")

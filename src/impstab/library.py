@@ -108,7 +108,6 @@ def make_linear_system(
         al_envelope_f=ALEnvelope(lambda r: abs(aa) * r + 1.0, gain),
         al_envelope_g=ALEnvelope(lambda r: abs(jf - 1.0) * r, gain),
         linear=LinearParams(aa, jf),
-        config={"kind": "linear", "a": aa, "jump_factor": jf},
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,6 @@ class ImpulsiveSystem:
     al_envelope_f: ALEnvelope | None = None
     al_envelope_g: ALEnvelope | None = None
     linear: LinearParams | None = None
-    config: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_u < 1:
@@ -361,5 +360,4 @@ def system_from_config(cfg: dict) -> ImpulsiveSystem:
         al_envelope_f=_envelope_from_config(cfg.get("envelope_f")),
         al_envelope_g=_envelope_from_config(cfg.get("envelope_g")),
         linear=linear,
-        config=cfg,
     )

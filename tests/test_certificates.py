@@ -343,6 +343,29 @@ class TestDerivedCertificates:
             for s in (0.0, 0.7, 3.0):
                 assert weak.beta(r, s) <= lifted.beta(r, s + math.ceil(s)) + 1e-8
 
+    def test_lifted_check_takes_array_path(self):
+        """A lifted check over about 1,000 points asks an array-capable
+        envelope a few dozen times.  A masked path that raised would be
+        hidden by the per-element fallback in eval_kl_array and ask it
+        tens of thousands of times."""
+        calls = 0
+
+        def phi(s):
+            nonlocal calls
+            calls += 1
+            return np.ceil(s)
+
+        weak = pure_jump_weak_certificate()
+        lifted = derive_strong_from_weak(weak, phi)
+        scalar_only = derive_strong_from_weak(weak, lambda s: math.ceil(s))
+        w = HybridInput(zero_signal(), periodic_family(1.0).sampler(0, 10.7))
+        traj = simulate(get_example("pure-jump"), 0.7, [3.0], w, 10.7, 1e-2)
+        calls = 0
+        rep = check_guas(lifted, traj)
+        assert rep.samples >= 1000
+        assert calls < 300
+        assert rep.to_dict() == check_guas(scalar_only, traj).to_dict()
+
     def test_lift_rejects_strong_input(self):
         with pytest.raises(ClassViolation):
             derive_strong_from_weak(decaying_guas_certificate(), lambda s: s)

@@ -1,5 +1,7 @@
 """Jump-time sequences, counting conventions, and families."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,23 @@ class TestUib:
         fam = dwell_family(0.2, 0.7)
         rep = uib_check(fam, fam.uib_phi, sample_count=200, horizon=40.0, seed=5)
         assert rep.passed
+
+    def test_stock_envelopes_equal_their_math_forms(self):
+        """The numpy envelopes give the values of the scalar math forms
+        they replace, at every scalar and element by element on arrays."""
+        grid = np.concatenate(
+            ([0.0, 1e-12, 1e-9], np.arange(0.0, 50.0, 0.05), np.geomspace(1e-6, 1e5, 300))
+        )
+        cases = [
+            (periodic_family(0.7).uib_phi, lambda s: math.ceil(s / 0.7)),
+            (periodic_family(1.0).uib_phi, lambda s: math.ceil(s / 1.0)),
+            (dwell_family(0.3, 2.0).uib_phi, lambda s: math.floor(s / 0.3) + 1.0),
+            (shrinking_gap_family(1.0, 0.1).uib_phi, lambda s: math.floor(s / 0.1) + 1.0),
+        ]
+        for phi, old in cases:
+            want = [old(float(s)) for s in grid]
+            assert [phi(float(s)) for s in grid] == want
+            assert phi(grid).tolist() == want
 
     def test_bad_phi_rejected(self):
         fam = periodic_family(1.0)
