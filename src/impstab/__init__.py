@@ -124,7 +124,6 @@ from .sim import (
 from .systems import (
     ALEnvelope,
     ImpulsiveSystem,
-    LinearParams,
     SampleRanges,
     check_al_bound,
     check_al_continuity_at_zero_input,

@@ -133,6 +133,25 @@ class Witness:
     def from_dict(cls, data: dict) -> "Witness":
         return cls(**data)
 
+    def trajectory(self, system: ImpulsiveSystem) -> Trajectory:
+        """Re-simulate the witnessed trial; the trajectory's ``input_used``
+        is the hybrid input rebuilt from the stored times and signal."""
+        u = (
+            InputSignal.from_json(self.u)
+            if self.u is not None
+            else zero_signal(system.dim_u)
+        )
+        w = HybridInput(u, ImpulseSequence.from_times(self.sigma_times))
+        return simulate(
+            system,
+            self.t0,
+            np.asarray(self.x0, dtype=float),
+            w,
+            self.horizon,
+            self.step,
+            strict=False,
+        )
+
 
 @dataclass
 class CheckReport:
@@ -248,22 +267,43 @@ def _guard_r0(r0: float, beta: KLFn) -> None:
         )
 
 
+def _sides(cert: Certificate, traj: Trajectory, w: HybridInput):
+    """Check points and both sides of the certificate's inequality there.
+
+    Returns times, the left side (|x| for a decay bound, alpha(|x|)
+    otherwise), the right side, and the side array of ``_check_points``.
+    Input energy is taken over (t0, t] at samples and over (t0, t) at
+    pre-jump entries.
+    """
+    mode = "strong" if isinstance(cert, UbebsCertificate) else cert.mode
+    times, norms, sargs, side = _check_points(traj, w.sigma, mode)
+    r0 = float(np.linalg.norm(traj.x0))
+    if not isinstance(cert, UbebsCertificate):
+        _guard_r0(r0, cert.beta)
+    if isinstance(cert, GuasCertificate):
+        return times, norms, eval_kl_array(cert.beta, r0, sargs), side
+    profile = EnergyProfile(w, cert.rho1, cert.rho2, traj.t0, traj.end_time)
+    energy = profile.at(times)
+    pre = side == 0
+    energy[pre] = profile.before_jump(times[pre])
+    lhs = _gauge_values(cert.alpha, norms)
+    if isinstance(cert, UbebsCertificate):
+        return times, lhs, r0 + energy + cert.c, side
+    return times, lhs, eval_kl_array(cert.beta, r0, sargs) + energy, side
+
+
 def check_guas(
     cert: GuasCertificate, traj: Trajectory, sigma: ImpulseSequence | None = None
 ) -> CheckReport:
     """Check |x(t)| <= beta(|x0|, .) pointwise on a zero-input trajectory."""
-    if traj.input_used is None:
+    w = traj.input_used
+    if w is None:
         raise NonZeroInput("trajectory carries no input record; cannot confirm zero input")
-    if not traj.input_used.u.is_zero():
+    if not w.u.is_zero():
         raise NonZeroInput("decay check requires a zero-input trajectory")
-    if sigma is None:
-        sigma = traj.input_used.sigma
-    times, norms, sargs, side = _check_points(traj, sigma, cert.mode)
-    r0 = float(np.linalg.norm(traj.x0))
-    _guard_r0(r0, cert.beta)
-    rhs = eval_kl_array(cert.beta, r0, sargs)
-    kind = f"guas-{cert.mode}"
-    return _scan(kind, traj, sigma, times, norms, rhs, side)
+    if sigma is not None:
+        w = HybridInput(w.u, sigma)
+    return _scan(f"guas-{cert.mode}", traj, w.sigma, *_sides(cert, traj, w))
 
 
 def _resolve_input(traj: Trajectory, w: HybridInput | None) -> HybridInput:
@@ -286,28 +326,12 @@ def _resolve_input(traj: Trajectory, w: HybridInput | None) -> HybridInput:
     return w
 
 
-def _check_energy(cert, w: HybridInput, traj: Trajectory, times, side) -> np.ndarray:
-    """Input energy at the check points: over (t0, t] at samples, over
-    (t0, t) at pre-jump entries."""
-    profile = EnergyProfile(w, cert.rho1, cert.rho2, traj.t0, traj.end_time)
-    energy = profile.at(times)
-    pre = side == 0
-    energy[pre] = profile.before_jump(times[pre])
-    return energy
-
-
 def check_ubebs(
     cert: UbebsCertificate, traj: Trajectory, w: HybridInput | None = None
 ) -> CheckReport:
     """Check alpha(|x(t)|) <= |x0| + energy over (t0, t] + c pointwise."""
     w = _resolve_input(traj, w)
-    sigma = w.sigma
-    times, norms, sargs, side = _check_points(traj, sigma, "strong")
-    energy = _check_energy(cert, w, traj, times, side)
-    r0 = float(np.linalg.norm(traj.x0))
-    lhs = _gauge_values(cert.alpha, norms)
-    rhs = r0 + energy + cert.c
-    return _scan("ubebs", traj, sigma, times, lhs, rhs, side)
+    return _scan("ubebs", traj, w.sigma, *_sides(cert, traj, w))
 
 
 def check_iiss(
@@ -315,15 +339,7 @@ def check_iiss(
 ) -> CheckReport:
     """Check alpha(|x(t)|) <= beta(|x0|, .) + energy over (t0, t]."""
     w = _resolve_input(traj, w)
-    sigma = w.sigma
-    times, norms, sargs, side = _check_points(traj, sigma, cert.mode)
-    energy = _check_energy(cert, w, traj, times, side)
-    r0 = float(np.linalg.norm(traj.x0))
-    _guard_r0(r0, cert.beta)
-    lhs = _gauge_values(cert.alpha, norms)
-    rhs = eval_kl_array(cert.beta, r0, sargs) + energy
-    kind = f"iiss-{cert.mode}"
-    return _scan(kind, traj, sigma, times, lhs, rhs, side)
+    return _scan(f"iiss-{cert.mode}", traj, w.sigma, *_sides(cert, traj, w))
 
 
 def check_certificate(
@@ -625,27 +641,8 @@ def replay_witness(
     exactly, so a faithful implementation reproduces the margin to
     rounding error.
     """
-    sigma = (
-        ImpulseSequence.from_times(witness.sigma_times)
-        if witness.sigma_times
-        else ImpulseSequence.from_times(())
-    )
-    u = (
-        InputSignal.from_json(witness.u)
-        if witness.u is not None
-        else zero_signal(system.dim_u)
-    )
-    w = HybridInput(u, sigma)
-    traj = simulate(
-        system,
-        witness.t0,
-        np.asarray(witness.x0, dtype=float),
-        w,
-        witness.horizon,
-        witness.step,
-        strict=False,
-    )
-    rep = check_certificate(cert, traj, w)
+    traj = witness.trajectory(system)
+    rep = check_certificate(cert, traj)
     if rep.witness is None:
         return {
             "matches": False,
@@ -724,6 +721,36 @@ def _sample_x0(rng: np.random.Generator, dim: int, r: float, k: int) -> np.ndarr
     return norm * _direction(rng, dim)
 
 
+def _limit_trial(
+    system: ImpulsiveSystem,
+    family: ImpulseFamily,
+    rng: np.random.Generator,
+    k: int,
+    t0: float,
+    r: float,
+    sigma_seed: int,
+    horizon: float,
+    step: float,
+    gain: tuple[ComparisonFn, ComparisonFn] | None,
+    cap: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One limit-condition trial from t0: |x0| <= r, then a random input
+    scaled to energy at most cap over (t0, t0 + horizon], or zero input
+    when gain is None.  Returns the state norms and strong times at the
+    check points, and the input's energy."""
+    x0 = _sample_x0(rng, system.dim_x, r, k)
+    sigma = family.sampler(sigma_seed, t0 + horizon + 1.0)
+    if gain is None:
+        u, energy = zero_signal(system.dim_u), 0.0
+    else:
+        raw = _random_signal(rng, system.dim_u, t0, t0 + horizon, 1.0, 5)
+        u, energy = _scaled_to_energy(raw, sigma, gain, t0, t0 + horizon, cap)
+    w = HybridInput(u, sigma)
+    traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
+    _, norms, sargs, _ = _check_points(traj, sigma, "strong")
+    return norms, sargs, energy
+
+
 @dataclass
 class _ScanResult:
     threshold: float
@@ -742,14 +769,14 @@ def _gain_violation_scan(
     t0_max: float,
     horizon: float,
     step: float,
-    zero_input: bool,
     trials: int,
     seed_path: list[int],
 ) -> _ScanResult:
     """Largest strong time at which alpha(|x|) still exceeds eps + energy.
 
-    Saturation means some trial's violations persist into the edge of
-    its observable strong-time window, i.e. no settling was seen.
+    A gain of None drives every trial with zero input.  Saturation means
+    some trial's violations persist into the edge of its observable
+    strong-time window, i.e. no settling was seen.
     """
     worst_T = 0.0
     max_seen = 0.0
@@ -758,20 +785,10 @@ def _gain_violation_scan(
     for k in range(trials):
         rng = np.random.default_rng(seed_path + [k])
         t0 = float(rng.uniform(0.0, t0_max)) if t0_max > 0 else 0.0
-        x0 = _sample_x0(rng, system.dim_x, r, k)
-        sigma = family.sampler(_trial_seed(seed_path[-1], k), t0 + horizon + 1.0)
-        if zero_input or gain is None:
-            u = zero_signal(system.dim_u)
-            wnorm = 0.0
-        else:
-            u = _random_signal(rng, system.dim_u, t0, t0 + horizon, 1.0, 5)
-            w_full = HybridInput(u, sigma)
-            wnorm = float(
-                EnergyProfile(w_full, gain[0], gain[1], t0, t0 + horizon).at(t0 + horizon)
-            )
-        w = HybridInput(u, sigma)
-        traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
-        times, norms, sargs, side = _check_points(traj, sigma, "strong")
+        norms, sargs, wnorm = _limit_trial(
+            system, family, rng, k, t0, r, _trial_seed(seed_path[-1], k),
+            horizon, step, gain, math.inf,
+        )
         lhs = _gauge_values(alpha, norms)
         rhs = eps + wnorm
         viol = lhs > rhs + TOL_SCALE * (1.0 + rhs)
@@ -809,7 +826,7 @@ def check_eps_delta_conditions(
     item ii).  Passing is sampling evidence; violations carry data.
     """
     cfg = config
-    rho1, rho2 = gain
+    input_gain = None if cfg.zero_input else gain
 
     # item i: uniform bound over strong-time sublevels
     c_grid = {}
@@ -824,24 +841,10 @@ def check_eps_delta_conditions(
                 for k in range(budget):
                     rng = np.random.default_rng([seed, 11, cell, k])
                     t0 = float(rng.uniform(0.0, cfg.t0_max))
-                    x0 = _sample_x0(rng, system.dim_x, r, k)
-                    sigma = family.sampler(
-                        _trial_seed(seed, 101 * cell + k), t0 + cfg.horizon + 1.0
+                    norms, sargs, _ = _limit_trial(
+                        system, family, rng, k, t0, r, _trial_seed(seed, 101 * cell + k),
+                        cfg.horizon, cfg.step, input_gain, s,
                     )
-                    if cfg.zero_input:
-                        u = zero_signal(system.dim_u)
-                    else:
-                        raw = _random_signal(
-                            rng, system.dim_u, t0, t0 + cfg.horizon, 1.0, 5
-                        )
-                        u, _ = _scaled_to_energy(
-                            raw, sigma, gain, t0, t0 + cfg.horizon, s
-                        )
-                    w = HybridInput(u, sigma)
-                    traj = simulate(
-                        system, t0, x0, w, t0 + cfg.horizon, cfg.step, strict=False
-                    )
-                    times, norms, sargs, side = _check_points(traj, sigma, "strong")
                     mask = sargs <= T + 1e-12
                     if np.any(mask):
                         cmax = max(cmax, float(np.max(norms[mask])))
@@ -872,26 +875,12 @@ def check_eps_delta_conditions(
             for k in range(budget):
                 rng = np.random.default_rng([seed, 22, e_idx, level, k])
                 t0 = float(rng.uniform(0.0, cfg.t0_max))
-                x0 = _sample_x0(rng, system.dim_x, delta, k)
-                sigma = family.sampler(
+                norms, _, _ = _limit_trial(
+                    system, family, rng, k, t0, delta,
                     _trial_seed(seed, 7919 * e_idx + 131 * level + k),
-                    t0 + cfg.horizon + 1.0,
-                )
-                if cfg.zero_input:
-                    u = zero_signal(system.dim_u)
-                else:
-                    raw = _random_signal(
-                        rng, system.dim_u, t0, t0 + cfg.horizon, 1.0, 5
-                    )
-                    u, _ = _scaled_to_energy(
-                        raw, sigma, gain, t0, t0 + cfg.horizon, delta
-                    )
-                w = HybridInput(u, sigma)
-                traj = simulate(
-                    system, t0, x0, w, t0 + cfg.horizon, cfg.step, strict=False
+                    cfg.horizon, cfg.step, input_gain, delta,
                 )
                 trials_ii += 1
-                times, norms, sargs, side = _check_points(traj, sigma, "strong")
                 if norms.size and float(np.max(norms)) > eps:
                     ok = False
                     break
@@ -923,13 +912,12 @@ def check_eps_delta_conditions(
                 system,
                 family,
                 cfg.alpha_tilde,
-                gain,
+                input_gain,
                 r,
                 eps,
                 cfg.t0_max,
                 cfg.horizon,
                 cfg.step,
-                cfg.zero_input,
                 budget,
                 [seed, 33, cell],
             )
@@ -993,13 +981,12 @@ def estimate_settling_time(
         system,
         family,
         alpha,
-        config.gain,
+        None if config.zero_input else config.gain,
         r,
         eps,
         config.t0_max,
         config.horizon,
         config.step,
-        config.zero_input,
         budget,
         [seed, 44],
     )

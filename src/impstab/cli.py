@@ -81,13 +81,17 @@ def _add_sim_args(sub, default_horizon: float = 10.0):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _cmd_simulate(args) -> int:
+def _trajectory_from_args(args):
     system = _system_from_arg(args.system)
     x0 = np.asarray(_floats(args.x0))
     end = args.t0 + args.horizon
     sigma = _sigma_from_args(args, end)
     w = HybridInput(_input_from_args(args, system.dim_u), sigma)
-    traj = simulate(system, args.t0, x0, w, end, args.step, strict=False)
+    return simulate(system, args.t0, x0, w, end, args.step, strict=False)
+
+
+def _cmd_simulate(args) -> int:
+    traj = _trajectory_from_args(args)
     if args.out:
         traj.to_csv(args.out)
         print(f"wrote {len(traj.times)} samples to {args.out}")
@@ -98,14 +102,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    system = _system_from_arg(args.system)
     cert = certificate_from_config(_load_json_arg(args.certificate))
-    x0 = np.asarray(_floats(args.x0))
-    end = args.t0 + args.horizon
-    sigma = _sigma_from_args(args, end)
-    w = HybridInput(_input_from_args(args, system.dim_u), sigma)
-    traj = simulate(system, args.t0, x0, w, end, args.step, strict=False)
-    rep = check_certificate(cert, traj, w)
+    rep = check_certificate(cert, _trajectory_from_args(args))
     print(f"{rep.kind}: {rep.verdict} (worst margin {rep.worst_margin:.3e}, {rep.samples} samples)")
     if rep.witness is not None:
         wit = rep.witness
@@ -137,7 +135,7 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_gronwall(args) -> int:
-    sigma = ImpulseSequence.from_times(np.asarray(_floats(args.sigma))) if args.sigma else ImpulseSequence.from_times(())
+    sigma = _sigma_from_args(args, args.t)
     data = GronwallData(p=args.p, q1=args.q1, q2=args.q2, sigma=sigma, t0=args.t0)
     print(f"{gronwall_bound(data, args.t)!r}")
     return 0

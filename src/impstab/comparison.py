@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ClassViolation, ConfigError, InvalidPhi, NotMonotone, OutOfRange
+from .errors import (
+    ClassViolation,
+    ConfigError,
+    ImpstabError,
+    InvalidPhi,
+    NotMonotone,
+    OutOfRange,
+)
 
 GRID_POINTS = 64
 INVERT_TOL = 1e-10
@@ -152,30 +159,30 @@ class KLFn:
         return self.name or "KL function"
 
 
-def eval_array(f: ComparisonFn, x: np.ndarray) -> np.ndarray:
-    """Evaluate on an array, falling back to a scalar loop."""
+def _eval_elementwise(fn: Callable, x) -> np.ndarray:
+    """fn on an array, falling back to a scalar loop for functions written
+    for scalars.  A package error from the array call is raised as is:
+    the scalar loop would only raise it again."""
     x = np.asarray(x, dtype=float)
     try:
-        out = np.asarray(f.evaluator(x), dtype=float)
+        out = np.asarray(fn(x), dtype=float)
         if out.shape == x.shape:
             return out
+    except ImpstabError:
+        raise
     except Exception:
         pass
-    return np.array([float(f.evaluator(float(v))) for v in x.ravel()]).reshape(x.shape)
+    return np.array([float(fn(float(v))) for v in x.ravel()]).reshape(x.shape)
+
+
+def eval_array(f: ComparisonFn, x: np.ndarray) -> np.ndarray:
+    """Evaluate on an array, falling back to a scalar loop."""
+    return _eval_elementwise(f.evaluator, x)
 
 
 def eval_kl_array(beta: KLFn, r: float, s: np.ndarray) -> np.ndarray:
     """Evaluate beta(r, s) over an array of s values."""
-    s = np.asarray(s, dtype=float)
-    try:
-        out = np.asarray(beta.evaluator(r, s), dtype=float)
-        if out.shape == s.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(beta.evaluator(r, float(v))) for v in s.ravel()]).reshape(
-        s.shape
-    )
+    return _eval_elementwise(lambda v: beta.evaluator(r, v), s)
 
 
 def invert(

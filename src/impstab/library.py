@@ -13,7 +13,7 @@ import math
 
 from .certificates import GuasCertificate, IissCertificate
 from .comparison import exp_decay_kl, identity
-from .systems import ALEnvelope, ImpulsiveSystem, LinearParams, system_from_config
+from .systems import ALEnvelope, ImpulsiveSystem, system_from_config
 
 EXAMPLE_CONFIGS = {
     "lin-contract": {
@@ -24,7 +24,6 @@ EXAMPLE_CONFIGS = {
         "jump": ["-0.5*x1"],
         "envelope_f": {"size": "r + 1", "gain": {"kind": "identity"}},
         "envelope_g": {"size": "0.5*r", "gain": {"kind": "identity"}},
-        "linear": {"a": -1.0, "jump_factor": 0.5},
     },
     "pure-jump": {
         "name": "pure-jump",
@@ -34,7 +33,6 @@ EXAMPLE_CONFIGS = {
         "jump": ["-0.5*x1"],
         "envelope_f": {"size": "0.0", "gain": {"kind": "identity"}},
         "envelope_g": {"size": "0.5*r", "gain": {"kind": "identity"}},
-        "linear": {"a": 0.0, "jump_factor": 0.5},
     },
     "bilinear": {
         "name": "bilinear",
@@ -53,7 +51,6 @@ EXAMPLE_CONFIGS = {
         "jump": ["x1"],
         "envelope_f": {"size": "r", "gain": {"kind": "identity"}},
         "envelope_g": {"size": "r", "gain": {"kind": "identity"}},
-        "linear": {"a": -1.0, "jump_factor": 2.0},
     },
     "zero": {
         "name": "zero",
@@ -63,7 +60,6 @@ EXAMPLE_CONFIGS = {
         "jump": ["0.0"],
         "envelope_f": {"size": "0.0", "gain": {"kind": "identity"}},
         "envelope_g": {"size": "0.0", "gain": {"kind": "identity"}},
-        "linear": {"a": 0.0, "jump_factor": 1.0},
     },
 }
 
@@ -107,7 +103,6 @@ def make_linear_system(
         jump=jump,
         al_envelope_f=ALEnvelope(lambda r: abs(aa) * r + 1.0, gain),
         al_envelope_g=ALEnvelope(lambda r: abs(jf - 1.0) * r, gain),
-        linear=LinearParams(aa, jf),
     )
 
 

@@ -23,19 +23,19 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .certificates import (
-    CheckReport,
     GuasCertificate,
     IissCertificate,
     SearchRanges,
     UbebsCertificate,
+    _sides,
     certificate_from_config,
     check_certificate,
     falsify,
 )
-from .comparison import eval_array, eval_kl_array, invert_array
+from .comparison import eval_array, invert_array
 from .errors import ConfigError
-from .impulses import ImpulseSequence, count_jumps_at, family_from_config
-from .inputs import EnergyProfile, HybridInput, InputSignal, signal_from_config, zero_signal
+from .impulses import ImpulseSequence, family_from_config
+from .inputs import HybridInput, signal_from_config
 from .library import EXAMPLE_CONFIGS, get_example
 from .sim import Trajectory, simulate
 from .systems import ImpulsiveSystem, system_from_config
@@ -94,26 +94,12 @@ def _resolve_system(ref) -> ImpulsiveSystem:
     raise ConfigError("system must be a built-in name or a config object")
 
 
-def _bound_series(cert, traj: Trajectory, w: HybridInput) -> np.ndarray:
+def _bound_series(cert, traj: Trajectory) -> np.ndarray:
     """Certificate right side converted to a bound on |x| at the samples."""
-    times = traj.times
-    r0 = float(np.linalg.norm(traj.x0))
-    taus = w.sigma.materialize(traj.end_time)
-    elapsed = times - traj.t0
+    _, _, rhs, side = _sides(cert, traj, traj.input_used)
+    y = rhs[side == 1]
     if isinstance(cert, GuasCertificate):
-        args = elapsed
-        if cert.mode == "strong":
-            args = elapsed + count_jumps_at(taus, traj.t0, times)
-        return eval_kl_array(cert.beta, r0, args)
-    profile = EnergyProfile(w, cert.rho1, cert.rho2, traj.t0, traj.end_time)
-    energy = profile.at(times)
-    if isinstance(cert, UbebsCertificate):
-        y = r0 + energy + cert.c
-    else:
-        args = elapsed
-        if cert.mode == "strong":
-            args = elapsed + count_jumps_at(taus, traj.t0, times)
-        y = eval_kl_array(cert.beta, r0, args) + energy
+        return y
     # saturate at the gauge's certified range so inversion stays defined
     cap = float(eval_array(cert.alpha, np.array([cert.alpha.domain_hint]))[0])
     return invert_array(cert.alpha, np.minimum(y, cap))
@@ -145,26 +131,8 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
         rep = falsify(
             cert, system, family, int(chk.get("budget", 200)), ranges, check_seed
         )
-        traj = w = None
-        if rep.witness is not None:
-            wit = rep.witness
-            sigma = ImpulseSequence.from_times(wit.sigma_times)
-            u = (
-                InputSignal.from_json(wit.u)
-                if wit.u is not None
-                else zero_signal(system.dim_u)
-            )
-            w = HybridInput(u, sigma)
-            traj = simulate(
-                system,
-                wit.t0,
-                np.asarray(wit.x0, dtype=float),
-                w,
-                wit.horizon,
-                wit.step,
-                strict=False,
-            )
-        return rep, traj, w, cert
+        traj = rep.witness.trajectory(system) if rep.witness is not None else None
+        return rep, traj, cert
 
     t0 = float(chk.get("t0", 0.0))
     x0 = np.asarray(chk.get("x0", [1.0] * system.dim_x), dtype=float)
@@ -177,8 +145,7 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
     u = signal_from_config(chk.get("input"), system.dim_u)
     w = HybridInput(u, sigma)
     traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
-    rep = check_certificate(cert, traj, w)
-    return rep, traj, w, cert
+    return check_certificate(cert, traj, w), traj, cert
 
 
 def run_scenario(scenario, out_dir: str | None = None) -> dict:
@@ -201,19 +168,17 @@ def run_scenario(scenario, out_dir: str | None = None) -> dict:
     any_inconclusive = False
     for idx, chk in enumerate(scenario.get("checks", [])):
         cid = str(chk.get("id", f"check{idx}"))
-        rep, traj, w, cert = _run_one(chk, system, family, seed)
+        rep, traj, cert = _run_one(chk, system, family, seed)
         if rep.verdict == "violated":
             any_violated = True
         elif rep.verdict != "pass":
             any_inconclusive = True
         entry = {"id": cid, "kind": chk["kind"], "report": rep.to_dict()}
-        if traj is not None and w is not None:
+        if traj is not None:
             traj_name = f"{cid}-trajectory.csv"
             plot_name = f"{cid}-plot.csv"
             traj.to_csv(os.path.join(out, traj_name))
-            _write_plot_csv(
-                os.path.join(out, plot_name), traj, _bound_series(cert, traj, w)
-            )
+            _write_plot_csv(os.path.join(out, plot_name), traj, _bound_series(cert, traj))
             entry["trajectory_csv"] = traj_name
             entry["plot_csv"] = plot_name
         entries.append(entry)

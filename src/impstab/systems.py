@@ -29,14 +29,6 @@ class ALEnvelope:
 
 
 @dataclass(frozen=True)
-class LinearParams:
-    """Scalar linear family: flow a*x + u, jump x -> jump_factor * x."""
-
-    a: float
-    jump_factor: float
-
-
-@dataclass(frozen=True)
 class ImpulsiveSystem:
     name: str
     dim_x: int
@@ -45,7 +37,6 @@ class ImpulsiveSystem:
     jump: Callable
     al_envelope_f: ALEnvelope | None = None
     al_envelope_g: ALEnvelope | None = None
-    linear: LinearParams | None = None
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_u < 1:
@@ -336,7 +327,7 @@ def system_from_config(cfg: dict) -> ImpulsiveSystem:
 
     Expected keys: name, dim_x, dim_u, flow (list of expressions), jump
     (list of expressions), optional envelope_f / envelope_g with a size
-    expression in r and a gain config, optional linear {a, jump_factor}.
+    expression in r and a gain config.
     """
     try:
         dim_x = int(cfg["dim_x"])
@@ -345,12 +336,6 @@ def system_from_config(cfg: dict) -> ImpulsiveSystem:
         jump_exprs = list(cfg["jump"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"system config missing required keys: {exc}") from exc
-    linear = None
-    if cfg.get("linear") is not None:
-        linear = LinearParams(
-            a=float(cfg["linear"]["a"]),
-            jump_factor=float(cfg["linear"]["jump_factor"]),
-        )
     return ImpulsiveSystem(
         name=str(cfg.get("name", "from-config")),
         dim_x=dim_x,
@@ -359,5 +344,4 @@ def system_from_config(cfg: dict) -> ImpulsiveSystem:
         jump=compile_map(jump_exprs, dim_x, dim_u),
         al_envelope_f=_envelope_from_config(cfg.get("envelope_f")),
         al_envelope_g=_envelope_from_config(cfg.get("envelope_g")),
-        linear=linear,
     )

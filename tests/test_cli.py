@@ -198,7 +198,7 @@ class TestExamples:
         assert main(["examples", "export", "lin-contract", "--out", str(out)]) == 0
         system = system_from_config(json.loads(out.read_text()))
         assert system.name == "lin-contract"
-        assert system.linear is not None
+        assert system.flow(0.0, [2.0], [0.5]) == (-1.5,)
 
     def test_export_unknown_name(self, capsys):
         assert main(["examples", "export", "nope"]) == 1

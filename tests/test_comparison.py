@@ -10,6 +10,7 @@ from impstab.comparison import (
     KLFn,
     compose,
     eval_array,
+    eval_kl_array,
     exp_decay_kl,
     guas_decay_from_iiss,
     identity,
@@ -138,6 +139,22 @@ class TestComposeInverse:
         fn = ComparisonFn(lambda r: math.sqrt(r))
         xs = np.array([0.0, 1.0, 4.0])
         np.testing.assert_allclose(eval_array(fn, xs), [0.0, 1.0, 2.0])
+
+    def test_package_error_from_array_call_is_not_retried(self):
+        # the per-element fallback would only raise the same error again
+        calls = []
+
+        def out_of_range(*args):
+            calls.append(args)
+            raise OutOfRange("outside the certified range")
+
+        xs = np.array([1.0, 2.0])
+        with pytest.raises(OutOfRange):
+            eval_array(ComparisonFn(out_of_range), xs)
+        assert len(calls) == 1
+        with pytest.raises(OutOfRange):
+            eval_kl_array(KLFn(out_of_range), 1.0, xs)
+        assert len(calls) == 2
 
 
 class TestDerivedDecay:

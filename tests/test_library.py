@@ -42,13 +42,6 @@ class TestExamples:
                 rep = check_al_bound(sys1, which, samples=300, seed=1)
                 assert rep.passed, f"{name}/{which}: {rep.witness}"
 
-    def test_linear_params_recorded(self):
-        sys1 = get_example("lin-contract")
-        assert sys1.linear is not None
-        assert sys1.linear.a == -1.0
-        assert sys1.linear.jump_factor == 0.5
-        assert get_example("bilinear").linear is None
-
 
 class TestLinearFactory:
     def test_flow_and_jump_closures(self):
@@ -56,7 +49,6 @@ class TestLinearFactory:
         assert sys1.flow(0.0, [3.0], (1.0,)) == (-5.0,)
         # increment form: jump adds (factor - 1) x
         assert sys1.jump(0.0, [4.0], (0.0,)) == (-3.0,)
-        assert sys1.linear.a == -2.0
 
     def test_factory_envelopes_hold(self):
         sys1 = make_linear_system(-1.5, 0.3, name="probe")

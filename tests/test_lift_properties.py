@@ -1,4 +1,5 @@
-"""Property tests of the weak-to-strong lift and of jump counting.
+"""Property tests of the weak-to-strong lift, of jump counting and of the
+strong-time schedule.
 
 The lift's array path is one masked bisection over all strong times;
 its scalar path bisects one time at a time.  Both must give the same
@@ -27,6 +28,7 @@ from impstab.impulses import (
     periodic_family,
     shrinking_gap_family,
     strong_time,
+    strong_time_schedule,
 )
 from impstab.inputs import HybridInput, zero_signal
 from impstab.library import get_example
@@ -153,6 +155,30 @@ def test_count_jumps_half_open(sigma, window):
     assert int(count_jumps_at(taus, t0, np.array([t]))[0]) == want
     assert count_jumps(sigma, t, t) == 0
     assert strong_time(sigma, t0, t) == (t - t0) + want
+
+
+@PROPERTY
+@given(
+    jump_sets,
+    st.one_of(quarter(0.0, 2.0), st.floats(0.0, 2.0)),
+    st.one_of(quarter(0.25, 3.0), st.floats(0.05, 3.0)),
+    st.integers(1, 8),
+)
+def test_schedule_step_is_first_crossing(sigma, t0, inc, count):
+    """Each step of the schedule gains strong time in [inc, inc + 1],
+    and no earlier time in it does: the midpoint and every jump time
+    strictly inside (s_{i-1}, s_i) gain less than inc."""
+    schedule = strong_time_schedule(sigma, t0, inc, count)
+    assert len(schedule) == count + 1 and schedule[0] == t0
+    for s_prev, s_i in zip(schedule[:-1], schedule[1:]):
+        assert s_prev < s_i
+        # s_{i-1} + (inc - n) rounds, so a flow-ended step may fall short by ulps
+        tol = 1e-12 * (1.0 + s_i)
+        assert inc - tol <= strong_time(sigma, s_prev, s_i) <= inc + 1.0 + tol
+        taus = sigma.materialize(s_i)
+        inside = [0.5 * (s_prev + s_i)] + [t for t in taus if s_prev < t < s_i]
+        for t in inside:
+            assert strong_time(sigma, s_prev, float(t)) < inc
 
 
 @PROPERTY

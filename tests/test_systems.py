@@ -7,7 +7,7 @@ import pytest
 
 from impstab.comparison import identity
 from impstab.errors import ConfigError, MissingEnvelope
-from impstab.library import get_example, make_linear_system
+from impstab.library import EXAMPLE_CONFIGS, get_example, make_linear_system
 from impstab.systems import (
     ALEnvelope,
     SampleRanges,
@@ -154,9 +154,10 @@ class TestConfig:
     def test_roundtrip_with_envelopes(self):
         system = get_example("lin-contract")
         assert system.dim_x == 1 and system.dim_u == 1
-        assert system.linear.a == -1.0
-        assert system.linear.jump_factor == 0.5
         assert system.envelope("flow").size_bound(2.0) == 3.0
+        # keys the builder does not know, such as an old "linear" record, are ignored
+        legacy = {**EXAMPLE_CONFIGS["lin-contract"], "linear": {"a": -1.0, "jump_factor": 0.5}}
+        assert system_from_config(legacy).flow(0.0, [2.0], [0.5]) == (-1.5,)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigError):
