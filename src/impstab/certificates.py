@@ -756,7 +756,6 @@ class _ScanResult:
     threshold: float
     saturated: bool
     max_seen: float
-    violations: int
 
 
 def _gain_violation_scan(
@@ -780,7 +779,6 @@ def _gain_violation_scan(
     """
     worst_T = 0.0
     max_seen = 0.0
-    nviol = 0
     saturated = False
     for k in range(trials):
         rng = np.random.default_rng(seed_path + [k])
@@ -797,11 +795,10 @@ def _gain_violation_scan(
         if np.any(viol):
             t_v = float(np.max(sargs[viol]))
             worst_T = max(worst_T, t_v)
-            nviol += int(np.sum(viol))
             edge = max(4.0 * step, 0.02 * trial_max)
             if t_v >= trial_max - edge:
                 saturated = True
-    return _ScanResult(worst_T, saturated, max_seen, nviol)
+    return _ScanResult(worst_T, saturated, max_seen)
 
 
 def check_eps_delta_conditions(

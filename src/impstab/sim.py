@@ -9,12 +9,15 @@ at the start time is not applied (windows are open on the left), one
 exactly at the horizon is.
 
 Each segment is stepped by one call of a classical RK4 kernel generated
-per state dimension with its components unrolled into locals.  The flow
-map is called exactly four times per step and the jump map once per
-applied jump, each as h(t, x, u) with x a list and u a tuple.  A map
-that raises an arithmetic error ends the run as "step-failure" at the
-last finite sample (NonFiniteState when strict); a map returning the
-wrong number of components raises InvalidSystem.
+per state dimension with its components unrolled into locals.  A flow
+map built by `compile_map` has its expressions written into the
+kernel's stages, so a step makes no call; any other flow map is called
+exactly four times per step.  Both do the same operations in the same
+order, so their results are bit-identical.  The jump map is called once
+per applied jump.  Maps are called as h(t, x, u) with x a list and u a
+tuple.  A map that raises an arithmetic error ends the run as
+"step-failure" at the last finite sample (NonFiniteState when strict);
+a map returning the wrong number of components raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInterval, InvalidSystem, NonFiniteState
 from .inputs import HybridInput
-from .systems import ImpulsiveSystem
+from .systems import ImpulsiveSystem, MapSource, map_source, sandbox
 
 STATUS_COMPLETE = "complete-to-horizon"
 STATUS_DIVERGED = "diverged"
@@ -164,7 +167,10 @@ def _segment_bounds(
 
 
 _KERNEL_FILE = "<impstab.sim kernel>"
-_KERNELS: dict[int, tuple] = {}
+# A fused kernel evaluates the flow's expressions in its own frame, so every
+# ValueError there is the expressions' own; its file name tells them apart.
+_FUSED_FILE = "<impstab.sim fused kernel>"
+_KERNELS: dict[tuple, tuple] = {}
 # A sum of squares at or below this is inside the divergence radius however
 # it was rounded; above it the exact `_outside` test decides.
 _SAFE_SQ = 0.25 * _DIVERGE_SQ
@@ -178,56 +184,79 @@ def _outside(x) -> bool:
         return True
 
 
-def _kernel(n: int) -> tuple:
+def _kernel(n: int, source: MapSource | None = None) -> tuple:
     """The RK4 segment kernel and the jump step for state dimension n.
 
-    Generated once per dimension with every component unrolled into
-    locals, so a step builds no intermediate lists beyond the stage
-    arguments of the flow map.  `segment` appends each step's time and
-    state to `times` and `states` and returns (x, None); a state outside
-    the divergence radius or not finite is returned unappended, with its
-    time, as (x, t).  `jump` returns the post-jump state.
+    Generated once per dimension, and once per expression set for a flow
+    map built by `compile_map` (its `source`), with every component
+    unrolled into locals.  Without a source each stage calls the flow map
+    f; with one, each stage binds t and x1..xn to the stage time and state
+    and evaluates the expressions in place, u1..um unpacked once per
+    segment, so a step makes no call.  The operations and their order are
+    the same either way.  `segment` appends each step's time and state to
+    `times` and `states` and returns (x, None); a state outside the
+    divergence radius or not finite is returned unappended, with its
+    time, as (x, t).  `jump` calls the jump map g and returns the
+    post-jump state.
     """
-    if n in _KERNELS:
-        return _KERNELS[n]
+    key = (n, source)
+    if key in _KERNELS:
+        return _KERNELS[key]
 
     def row(fmt: str) -> str:
         return ", ".join(fmt.format(i=i) for i in range(n))
 
-    def stage(c: str, k: str) -> str:
-        return f"[{row('x{i} + ' + c + ' * ' + k + '{i}')}]"
+    def stage(k: str, t: str, c: str | None = None, prev: str = "") -> str:
+        """Stage k at time t and state s + c * prev (s itself when c is None)."""
+        xs = [f"s{i}" if c is None else f"s{i} + {c} * {prev}{i}" for i in range(n)]
+        if source is None:
+            arg = "x" if c is None else f"[{', '.join(xs)}]"
+            return f"{row(k + '{i}')}, = f({t}, {arg}, u)"
+        lines = [f"t = {t}"] + [f"x{i + 1} = {v}" for i, v in enumerate(xs)]
+        lines += [f"{k}{i} = ({e})" for i, e in enumerate(source.exprs)]
+        return "\n        ".join(lines)
 
+    unpack_u = ""
+    if source is not None:
+        unpack_u = ", ".join(f"u{j + 1}" for j in range(source.dim_u)) + ", = u"
     src = f"""
 def segment(f, a, b, nsub, h, x, u, times, states):
-    {row('x{i}')}, = x
+    {row('s{i}')}, = x
+    {unpack_u}
     h2 = 0.5 * h
     h6 = h / 6.0
     last = nsub - 1
     for i in range(nsub):
-        t = a + i * h
-        {row('k{i}')}, = f(t, x, u)
-        {row('p{i}')}, = f(t + h2, {stage('h2', 'k')}, u)
-        {row('q{i}')}, = f(t + h2, {stage('h2', 'p')}, u)
-        {row('r{i}')}, = f(t + h, {stage('h', 'q')}, u)
-        {row('x{i}')}, = {row('x{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},
-        x = [{row('x{i}')}]
-        t = b if i == last else a + (i + 1) * h
-        if not {' + '.join(f'x{i} * x{i}' for i in range(n))} <= _SAFE_SQ and _outside(x):
-            return x, t
-        times.append(t)
+        ti = a + i * h
+        {stage('k', 'ti')}
+        {stage('p', 'ti + h2', 'h2', 'k')}
+        {stage('q', 'ti + h2', 'h2', 'p')}
+        {stage('r', 'ti + h', 'h', 'q')}
+        {row('s{i}')}, = {row('s{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},
+        x = [{row('s{i}')}]
+        tn = b if i == last else a + (i + 1) * h
+        if not {' + '.join(f's{i} * s{i}' for i in range(n))} <= _SAFE_SQ and _outside(x):
+            return x, tn
+        times.append(tn)
         states.append(x)
     return x, None
-
-
-def jump(g, t, x, u):
-    {row('x{i}')}, = x
-    {row('d{i}')}, = g(t, x, u)
-    return [{row('x{i} + d{i}')}]
 """
     env = {"__builtins__": {}, "range": range, "_SAFE_SQ": _SAFE_SQ, "_outside": _outside}
-    exec(compile(src, _KERNEL_FILE, "exec"), env)
-    _KERNELS[n] = (env["segment"], env["jump"])
-    return _KERNELS[n]
+    if source is None:
+        src += f"""
+
+def jump(g, t, x, u):
+    {row('s{i}')}, = x
+    {row('d{i}')}, = g(t, x, u)
+    return [{row('s{i} + d{i}')}]
+"""
+        exec(compile(src, _KERNEL_FILE, "exec"), env)
+        _KERNELS[key] = (env["segment"], env["jump"])
+    else:  # the jump map stays a call, from the map-calling kernel
+        env.update(sandbox())
+        exec(compile(src, _FUSED_FILE, "exec"), env)
+        _KERNELS[key] = (env["segment"], _kernel(n)[1])
+    return _KERNELS[key]
 
 
 def _raised_by_kernel(exc: BaseException) -> bool:
@@ -251,10 +280,12 @@ def simulate(
     """Integrate the flow with classical RK4 and apply jumps exactly.
 
     One kernel call (see `_kernel`) steps each constant-input segment.
-    The state is carried as a list of floats; the flow map is called
-    exactly four times per step and the jump map once per applied jump,
-    both as h(t, x, u) with x a list and u a tuple, and each must return
-    a sequence of the state dimension, else InvalidSystem.  If |x| leaves
+    The state is carried as a list of floats.  A flow map built by
+    `compile_map` is evaluated inside the kernel, with bit-identical
+    results; any other flow map is called exactly four times per step.
+    The jump map is called once per applied jump.  Maps are called as
+    h(t, x, u) with x a list and u a tuple, and each must return a
+    sequence of the state dimension, else InvalidSystem.  If |x| leaves
     the divergence radius the run stops with status "diverged" (the
     crossing sample is kept).  A NaN or infinite state, or an arithmetic
     error raised by a map (OverflowError, ZeroDivisionError, ValueError
@@ -279,7 +310,7 @@ def simulate(
     bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints).tolist()
     jump_set = set(float(t) for t in jump_times if t > t0)
 
-    segment, jump = _kernel(len(x))
+    segment, jump = _kernel(len(x), map_source(system.flow))
     f = system.flow
     g = system.jump
     times = [float(t0)]

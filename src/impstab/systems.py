@@ -41,6 +41,14 @@ class ImpulsiveSystem:
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_u < 1:
             raise InvalidSystem("state and input dimensions must be at least 1")
+        for which, h in (("flow", self.flow), ("jump", self.jump)):
+            src = map_source(h)
+            if src is not None and (src.dim_x, src.dim_u) != (self.dim_x, self.dim_u):
+                raise InvalidSystem(
+                    f"{which} map of system {self.name!r} was compiled for "
+                    f"dim_x={src.dim_x}, dim_u={src.dim_u}; the system has "
+                    f"dim_x={self.dim_x}, dim_u={self.dim_u}"
+                )
 
     def envelope(self, which: str) -> ALEnvelope:
         env = self.al_envelope_f if which == "flow" else self.al_envelope_g
@@ -283,8 +291,28 @@ def _validate_expr(expr: str, names: set[str]) -> ast.Expression:
     return tree
 
 
+@dataclass(frozen=True)
+class MapSource:
+    """The validated component expressions of a map built by `compile_map`,
+    over t, x1..x{dim_x} and u1..u{dim_u}."""
+
+    exprs: tuple[str, ...]
+    dim_x: int
+    dim_u: int
+
+
+def map_source(h: Callable) -> MapSource | None:
+    """The expressions `compile_map` attached to h, or None for any other map."""
+    src = getattr(h, "source", None)
+    return src if isinstance(src, MapSource) else None
+
+
 def compile_map(exprs: list[str], dim_x: int, dim_u: int) -> Callable:
-    """Compile component expressions over t, x1..xn, u1..um to a map."""
+    """Compile component expressions over t, x1..xn, u1..um to a map.
+
+    The map carries its expressions as `source` (see `map_source`), from
+    which the simulator writes them into its RK4 kernel.
+    """
     if dim_x < 1 or dim_u < 1:
         raise ConfigError(f"state and input dimensions must be >= 1, got {dim_x}, {dim_u}")
     xs = [f"x{i + 1}" for i in range(dim_x)]
@@ -298,19 +326,21 @@ def compile_map(exprs: list[str], dim_x: int, dim_u: int) -> Callable:
     # expressions are validated above and its globals are the whitelist with
     # an empty __builtins__, so no builtin is reachable from it.
     body = f"{', '.join(xs)}, = x\n {', '.join(us)}, = u\n return ({', '.join(exprs)},)"
-    env = _sandbox()
+    env = sandbox()
     exec(f"def _map(t, x, u):\n {body}", env)
+    env["_map"].source = MapSource(tuple(exprs), dim_x, dim_u)
     return env["_map"]
 
 
-def _sandbox() -> dict:
+def sandbox() -> dict:
+    """Globals for evaluating validated expressions: the whitelist only."""
     return {"__builtins__": {}, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
 
 
 def compile_scalar_map(expr: str, var: str = "r") -> Callable[[float], float]:
     """Compile a one-variable expression, e.g. an envelope size bound."""
     _validate_expr(expr, {var})
-    return eval(f"lambda {var}: ({expr})", _sandbox())
+    return eval(f"lambda {var}: ({expr})", sandbox())
 
 
 def _envelope_from_config(cfg: dict | None) -> ALEnvelope | None:

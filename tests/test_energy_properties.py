@@ -19,7 +19,7 @@ from impstab.inputs import EnergyProfile, HybridInput, InputSignal, energy_norm,
 
 GAUGES = [identity(), power(2.0), power(0.5, 3.0), linear(2.5), log_growth(1.5)]
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 
 
 def times(lo: float, hi: float):

@@ -34,7 +34,7 @@ from impstab.inputs import HybridInput, zero_signal
 from impstab.library import get_example
 from impstab.sim import simulate
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 
 ARRAY_ENVELOPES = [
     math.ceil,

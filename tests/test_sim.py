@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impstab.errors import InvalidInterval, InvalidSystem, NonFiniteState
 from impstab.impulses import ImpulseSequence, periodic_family
@@ -27,7 +29,7 @@ from impstab.sim import (
     integral_residual,
     simulate,
 )
-from impstab.systems import ImpulsiveSystem, system_from_config
+from impstab.systems import ImpulsiveSystem, compile_map, map_source, system_from_config
 
 # x(1) for dx/dt = -x, x(0) = 1, one jump halving the state at t = 0.5:
 # 0.5 * e^{-1}.
@@ -350,23 +352,30 @@ def counted(system):
 
 class TestSegmentKernel:
     """The unrolled kernel reproduces the per-component loop bit for bit
-    and calls the flow map exactly four times per step."""
+    and calls the flow map exactly four times per step; the fused kernel
+    of a compiled flow map reproduces it too."""
 
     def assert_identical(self, system, t0, x0, w, horizon, step):
         counting, counts = counted(system)
+        reference = reference_rk4(system, t0, x0, w, horizon, step)
         traj = simulate(counting, t0, x0, w, horizon, step, strict=False)
-        times, states, jumps, status = reference_rk4(system, t0, x0, w, horizon, step)
-        assert traj.status == status
-        assert np.array_equal(traj.times, np.asarray(times))
-        assert np.array_equal(traj.states, states)
-        assert [rec.time for rec in traj.jumps] == [j[0] for j in jumps]
-        for rec, (_, pre, post) in zip(traj.jumps, jumps):
-            assert np.array_equal(rec.x_pre, pre)
-            assert np.array_equal(rec.x_post, post)
-        if status != STATUS_STEP_FAILURE:  # a failed step made calls but left no sample
+        self.assert_matches(traj, *reference)
+        if reference[-1] != STATUS_STEP_FAILURE:  # a failed step made calls but left no sample
             assert counts["flow"] == 4 * (len(traj.times) - 1)
             assert counts["jump"] == len(traj.jumps)
+        # unwrapped, a compiled flow map takes the fused kernel
+        self.assert_matches(simulate(system, t0, x0, w, horizon, step, strict=False), *reference)
         return traj
+
+    @staticmethod
+    def assert_matches(traj, times, states, jumps, status):
+        assert traj.status == status
+        assert traj.times.tobytes() == np.asarray(times).tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert [rec.time for rec in traj.jumps] == [j[0] for j in jumps]
+        for rec, (_, pre, post) in zip(traj.jumps, jumps):
+            assert rec.x_pre.tobytes() == np.asarray(pre).tobytes()
+            assert rec.x_post.tobytes() == np.asarray(post).tobytes()
 
     def test_lin_contract_random_inputs(self):
         system = system_from_config(EXAMPLE_CONFIGS["lin-contract"])
@@ -407,7 +416,9 @@ class TestSegmentKernel:
         w = HybridInput(zero_signal(), periodic_family(0.5).sampler(0, 40.0))
         in_flow = self.assert_identical(make_linear_system(4.0, 3.0), 0.0, [1.0], w, 30.0, 1e-2)
         at_jump = self.assert_identical(make_linear_system(2.0, 1e30), 0.0, [1.0], w, 30.0, 1e-2)
-        for traj in (in_flow, at_jump):
+        blow_up = {"name": "blow-up", "dim_x": 1, "dim_u": 1, "flow": ["x1 * x1"], "jump": ["x1"]}
+        fused = self.assert_identical(system_from_config(blow_up), 0.0, [1.0], w, 30.0, 1e-2)
+        for traj in (in_flow, at_jump, fused):
             assert traj.status == STATUS_DIVERGED
             assert traj.norms()[-1] >= DIVERGENCE_RADIUS  # crossing sample kept
         assert at_jump.end_time == at_jump.jumps[-1].time
@@ -432,6 +443,80 @@ class TestSegmentKernel:
         w = hybrid(constant_signal(1.0), 1.0)
         traj = self.assert_identical(system, 1.0, [2.0], w, 1.0, 1e-2)
         assert len(traj.times) == 1
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+    def test_library_systems(self, name):
+        system = system_from_config(EXAMPLE_CONFIGS[name])
+        assert map_source(system.flow) is not None
+        rng = np.random.default_rng(len(name))
+        for k in range(3):
+            u = InputSignal(np.sort(rng.uniform(0.0, 4.0, 3)), rng.uniform(-2, 2, (3, 1)))
+            w = HybridInput(u, periodic_family(0.6).sampler(k, 10.0))
+            self.assert_identical(system, 0.2 * k, [rng.uniform(-4, 4)], w, 0.2 * k + 4.0, 0.017)
+
+
+def expressions(dim_x: int, dim_u: int):
+    """Whitelisted expressions over t, x1..x{dim_x} and u1..u{dim_u}."""
+    names = ["t"] + [f"x{i + 1}" for i in range(dim_x)] + [f"u{j + 1}" for j in range(dim_u)]
+    leaves = st.sampled_from(names + ["0.5", "2.0", "3", "pi", "e"])
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(["exp", "sqrt", "log", "sin", "tanh", "abs", "-"]), sub)
+            .map(lambda p: f"{p[0]}({p[1]})"),
+            st.tuples(sub, st.sampled_from(["+", "-", "*", "/"]), sub)
+            .map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+            st.tuples(st.sampled_from(["min", "max"]), sub, sub)
+            .map(lambda p: f"{p[0]}({p[1]}, {p[2]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def compiled_runs(draw):
+    """A compiled system with its initial state and hybrid input."""
+    dim_x, dim_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    flow = draw(st.lists(expressions(dim_x, dim_u), min_size=dim_x, max_size=dim_x))
+    jump = draw(st.lists(expressions(dim_x, dim_u), min_size=dim_x, max_size=dim_x))
+    system = system_from_config(
+        {"name": "drawn", "dim_x": dim_x, "dim_u": dim_u, "flow": flow, "jump": jump}
+    )
+    small = st.floats(-3.0, 3.0, allow_nan=False)
+    x0 = draw(st.lists(small, min_size=dim_x, max_size=dim_x))
+    bps = sorted(set(draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))))
+    row = st.lists(small, min_size=dim_u, max_size=dim_u)
+    vals = draw(st.lists(row, min_size=len(bps), max_size=len(bps)))
+    taus = draw(st.lists(st.floats(0.01, 2.0), max_size=3))
+    w = HybridInput(
+        InputSignal(np.asarray(bps), np.asarray(vals)),
+        ImpulseSequence.from_times(np.asarray(sorted(set(taus)))),
+    )
+    return system, x0, w
+
+
+def outcome(system, x0, w, strict):
+    """What one run gives: its samples and jumps as bytes, or the error raised."""
+    try:
+        traj = simulate(system, 0.0, x0, w, 2.0, 0.05, strict=strict)
+    except Exception as exc:
+        return type(exc), str(exc)
+    jumps = [(r.time, r.x_pre.tobytes(), r.x_post.tobytes()) for r in traj.jumps]
+    return traj.status, traj.times.tobytes(), traj.states.tobytes(), jumps
+
+
+@settings(max_examples=150)
+@given(compiled_runs())
+def test_fused_kernel_matches_map_calls(run):
+    """Fused and map-calling kernels agree bit for bit on any expressions,
+    including runs a map error or a non-finite state ends."""
+    system, x0, w = run
+    m = system.flow
+    calling = ImpulsiveSystem(
+        system.name, system.dim_x, system.dim_u, lambda t, x, u: m(t, x, u), system.jump
+    )
+    for strict in (False, True):
+        assert outcome(system, x0, w, strict) == outcome(calling, x0, w, strict)
 
 
 class TestMapErrors:
@@ -464,6 +549,14 @@ class TestMapErrors:
         assert traj.status == STATUS_STEP_FAILURE
         assert traj.end_time == 0.5 and not traj.jumps
         assert traj.states[-1][0] == pytest.approx(math.exp(-0.5), abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["flow", "jump"])
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2)], ids=["dim_x", "dim_u"])
+    def test_compiled_map_of_other_dimensions_is_invalid_system(self, which, dims):
+        maps = {"flow": compile_map(["-x1"], 1, 1), "jump": compile_map(["0.0"], 1, 1)}
+        maps[which] = compile_map(["-x1"] * dims[0], *dims)
+        with pytest.raises(InvalidSystem, match=which):
+            ImpulsiveSystem("bad", 1, 1, maps["flow"], maps["jump"])
 
     @pytest.mark.parametrize("which", ["flow", "jump"])
     @pytest.mark.parametrize("size", [1, 3])
