@@ -3,8 +3,10 @@
 Functions are wrapped with a declared class and a finite domain hint so
 that membership can be probed numerically.  Probing a finite grid can
 never prove monotonicity or unboundedness; the checks here are designed
-so that failures are conclusive while passes are evidence.  Inversion is
-by bisection and never requires a symbolic inverse.
+so that failures are conclusive while passes are evidence.  A function
+may carry a closed-form inverse (the stock families do); inversion uses
+it where its result passes the residual guard and bisects otherwise,
+so no function needs one and a wrong one costs speed, not correctness.
 """
 
 from __future__ import annotations
@@ -42,12 +44,15 @@ class ComparisonFn:
 
     ``evaluator`` should accept a float; accepting numpy arrays as well
     makes the vectorized check paths cheaper but is not required.
+    ``inverse``, when set, is a closed-form inverse taking a float or an
+    array; `invert` and `invert_array` try it before bisecting.
     """
 
     evaluator: Callable
     declared_class: str = "Kinf"  # "K" or "Kinf"
     domain_hint: float = 1e6
     name: str = ""
+    inverse: Callable | None = None
 
     def __call__(self, r):
         return self.evaluator(r)
@@ -106,12 +111,17 @@ class ComparisonFn:
 
 @dataclass(frozen=True)
 class KLFn:
-    """A two-argument bound: class K-infinity in r, decreasing to 0 in s."""
+    """A two-argument bound: class K-infinity in r, decreasing to 0 in s.
+
+    ``inverse_at_zero``, when set, is a closed-form inverse of
+    r -> beta(r, 0), taking a float or an array.
+    """
 
     evaluator: Callable
     r_hint: float = 1e6
     s_hint: float = 1e4
     name: str = ""
+    inverse_at_zero: Callable | None = None
 
     def __call__(self, r, s):
         return self.evaluator(r, s)
@@ -191,11 +201,14 @@ def invert(
     tol: float | None = None,
     max_iter: int = INVERT_MAX_ITER,
 ) -> float:
-    """Solve f(r) = y for r in [0, domain_hint] by bisection.
+    """Solve f(r) = y for r in [0, domain_hint].
 
-    The result satisfies |f(r) - y| <= 1e-10 * (1 + y).  Raises
-    OutOfRange when y is negative or above f(domain_hint), and
-    NotMonotone when the evaluator contradicts the bracketing order.
+    The result satisfies |f(r) - y| <= 1e-10 * (1 + y).  After the range
+    checks, f's closed-form inverse (clipped to the bracket) is returned
+    when it meets that residual; otherwise, or without one, the root is
+    found by bisection.  Raises OutOfRange when y is negative or above
+    f(domain_hint), and NotMonotone when the evaluator contradicts the
+    bracketing order.
     """
     y = float(y)
     if not math.isfinite(y) or y < 0:
@@ -218,6 +231,10 @@ def invert(
         )
     if y < flo:
         raise NotMonotone("value at 0 exceeds the target; not a class-K shape")
+    if f.inverse is not None:
+        r = min(max(float(f.inverse(y)), lo), hi)
+        if abs(float(f.evaluator(r)) - y) <= tol:
+            return r
     # refine the bracket all the way down rather than stopping at the
     # residual tolerance: near-exact roots keep inverse-backed
     # evaluators monotone at the resolution the class probes use
@@ -248,7 +265,9 @@ def invert(
 
 
 def invert_array(f: ComparisonFn, y: np.ndarray) -> np.ndarray:
-    """Vectorized bisection; one pass over all targets at once."""
+    """`invert` over an array: the closed-form inverse where f has one,
+    else one vectorized bisection over all targets at once.  Elements
+    that miss the residual guard are re-solved by `invert`."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         return np.zeros_like(y)
@@ -263,20 +282,24 @@ def invert_array(f: ComparisonFn, y: np.ndarray) -> np.ndarray:
             f"target {worst:.6g} exceeds the reachable value {fhi0:.6g} "
             "at the domain hint"
         )
-    lo = np.zeros_like(y)
-    hi = np.full_like(y, hi0)
     at_zero = y <= float(f.evaluator(0.0))
-    for _ in range(INVERT_MAX_ITER):
-        if np.all((hi - lo <= 1e-13 * hi) | at_zero):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = eval_array(f, mid)
-        go_up = fmid < y
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    out = np.where(at_zero, 0.0, 0.5 * (lo + hi))
+    if f.inverse is not None:
+        root = np.clip(_eval_elementwise(f.inverse, y), 0.0, hi0)
+    else:
+        lo = np.zeros_like(y)
+        hi = np.full_like(y, hi0)
+        for _ in range(INVERT_MAX_ITER):
+            if np.all((hi - lo <= 1e-13 * hi) | at_zero):
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = eval_array(f, mid)
+            go_up = fmid < y
+            lo = np.where(go_up, mid, lo)
+            hi = np.where(go_up, hi, mid)
+        root = 0.5 * (lo + hi)
+    out = np.where(at_zero, 0.0, root)
     residual = np.abs(eval_array(f, out) - y)
-    bad = np.flatnonzero((residual > tol) & ~at_zero)
+    bad = np.flatnonzero(~(residual <= tol) & ~at_zero)  # NaN is bad too
     for i in bad:
         # scalar path re-derives the root or raises a precise error
         out.flat[i] = invert(f, float(y.flat[i]))
@@ -284,18 +307,22 @@ def invert_array(f: ComparisonFn, y: np.ndarray) -> np.ndarray:
 
 
 def compose(outer: ComparisonFn, inner: ComparisonFn, name: str = "") -> ComparisonFn:
-    """outer after inner; K-infinity survives only if both have it."""
+    """outer after inner; K-infinity survives only if both have it, and
+    a closed-form inverse only if both carry one."""
     cls = "Kinf" if (outer.declared_class == inner.declared_class == "Kinf") else "K"
+    both = outer.inverse is not None and inner.inverse is not None
     return ComparisonFn(
         lambda r: outer.evaluator(inner.evaluator(r)),
         declared_class=cls,
         domain_hint=inner.domain_hint,
         name=name or f"compose({outer._label()}, {inner._label()})",
+        inverse=(lambda y: inner.inverse(outer.inverse(y))) if both else None,
     )
 
 
 def inverse_fn(f: ComparisonFn) -> ComparisonFn:
-    """Numeric inverse as a first-class function (bisection per call)."""
+    """Inverse as a first-class function: `invert` per call, with f itself
+    as its closed-form inverse."""
 
     def ev(y):
         if isinstance(y, np.ndarray):
@@ -308,6 +335,7 @@ def inverse_fn(f: ComparisonFn) -> ComparisonFn:
         declared_class=f.declared_class,
         domain_hint=hint,
         name=f"inverse({f._label()})",
+        inverse=f.evaluator,
     )
 
 
@@ -320,6 +348,17 @@ def require_kinf(f: ComparisonFn, role: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Certificate-transforming constructions.
+
+
+def _beta_at_zero(beta: KLFn) -> ComparisonFn:
+    """r -> beta(r, 0) as a gauge, with beta's closed-form inverse of it."""
+    return ComparisonFn(
+        lambda r: beta.evaluator(r, 0.0),
+        declared_class="Kinf",
+        domain_hint=beta.r_hint,
+        name=f"{beta._label()} at s=0",
+        inverse=beta.inverse_at_zero,
+    )
 
 
 def guas_decay_from_iiss(alpha: ComparisonFn, beta: KLFn) -> KLFn:
@@ -336,11 +375,7 @@ def guas_decay_from_iiss(alpha: ComparisonFn, beta: KLFn) -> KLFn:
 
     # cap the r range so every inversion target stays reachable
     alpha_top = float(alpha.evaluator(float(alpha.domain_hint)))
-    beta0 = ComparisonFn(
-        lambda r: beta.evaluator(r, 0.0),
-        declared_class="Kinf",
-        domain_hint=beta.r_hint,
-    )
+    beta0 = _beta_at_zero(beta)
     if float(beta0.evaluator(beta.r_hint)) > alpha_top:
         r_cap = invert(beta0, alpha_top)
     else:
@@ -361,12 +396,7 @@ def ubebs_alpha_from_iiss(alpha: ComparisonFn, beta: KLFn) -> ComparisonFn:
     whenever the gain estimate does, because one of the two minimands is
     dominated by the matching term of the estimate.
     """
-    beta0 = ComparisonFn(
-        lambda r: beta.evaluator(r, 0.0),
-        declared_class="Kinf",
-        domain_hint=beta.r_hint,
-        name=f"{beta._label()} at s=0",
-    )
+    beta0 = _beta_at_zero(beta)
     beta0_top = float(beta0.evaluator(beta0.domain_hint))
 
     def ev(r):
@@ -514,6 +544,7 @@ def linear(k: float = 1.0, domain_hint: float = 1e6) -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=domain_hint,
         name=f"linear(k={k:g})",
+        inverse=lambda y: y / k,
     )
 
 
@@ -523,6 +554,7 @@ def identity() -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=1e6,
         name="identity",
+        inverse=lambda y: y,
     )
 
 
@@ -534,6 +566,7 @@ def power(p: float, scale: float = 1.0, domain_hint: float = 1e6) -> ComparisonF
         declared_class="Kinf",
         domain_hint=domain_hint,
         name=f"power(p={p:g})",
+        inverse=lambda y: (y / scale) ** (1.0 / p),
     )
 
 
@@ -556,6 +589,7 @@ def log_growth(scale: float = 1.0) -> ComparisonFn:
         declared_class="Kinf",
         domain_hint=1e6,
         name=f"log-growth(scale={scale:g})",
+        inverse=lambda y: np.expm1(y / scale),
     )
 
 
@@ -565,6 +599,7 @@ def exp_decay_kl(amp: float = 1.0, rate: float = 1.0) -> KLFn:
     return KLFn(
         lambda r, s: amp * r * np.exp(-rate * s),
         name=f"exp-decay(amp={amp:g}, rate={rate:g})",
+        inverse_at_zero=lambda y: y / amp,  # beta(r, 0) = amp * r * 1.0
     )
 
 
@@ -574,6 +609,7 @@ def rational_decay_kl(amp: float = 1.0, p: float = 1.0) -> KLFn:
     return KLFn(
         lambda r, s: amp * r / (1.0 + s) ** p,
         name=f"rational-decay(amp={amp:g}, p={p:g})",
+        inverse_at_zero=lambda y: y / amp,  # beta(r, 0) = amp * r / 1.0
     )
 
 

@@ -108,7 +108,7 @@ def _bound_series(cert, traj: Trajectory) -> np.ndarray:
 def _write_plot_csv(path: str, traj: Trajectory, bounds: np.ndarray) -> None:
     lines = ["t,state_norm,bound"]
     for t, n, b in zip(traj.times, traj.norms(), bounds):
-        lines.append(f"{t!r},{float(n)!r},{float(b)!r}")
+        lines.append(f"{float(t)!r},{float(n)!r},{float(b)!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -15,9 +15,10 @@ kernel's stages, so a step makes no call; any other flow map is called
 exactly four times per step.  Both do the same operations in the same
 order, so their results are bit-identical.  The jump map is called once
 per applied jump.  Maps are called as h(t, x, u) with x a list and u a
-tuple.  A map that raises an arithmetic error ends the run as
-"step-failure" at the last finite sample (NonFiniteState when strict);
-a map returning the wrong number of components raises InvalidSystem.
+tuple.  A map that raises an arithmetic error, or a state that turns
+complex, ends the run as "step-failure" at the last finite sample
+(NonFiniteState when strict); a map returning anything but a sequence
+of the state dimension raises InvalidSystem.
 """
 
 from __future__ import annotations
@@ -259,13 +260,21 @@ def jump(g, t, x, u):
     return _KERNELS[key]
 
 
-def _raised_by_kernel(exc: BaseException) -> bool:
-    """True when the kernel's own code raised exc, not a map it called:
-    there a ValueError can only come from unpacking a map's result."""
+def _raising_frame(exc: BaseException):
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return tb.tb_frame.f_code.co_filename == _KERNEL_FILE
+    return tb.tb_frame
+
+
+def _holds_complex(frame) -> bool:
+    """True when a local of frame, or an item of a list local, is complex:
+    the state has left the reals (a fractional power of a negative
+    number, say), and comparing or summing it raised."""
+    return any(
+        isinstance(v, complex) or (isinstance(v, list) and any(isinstance(c, complex) for c in v))
+        for v in frame.f_locals.values()
+    )
 
 
 def simulate(
@@ -287,11 +296,11 @@ def simulate(
     h(t, x, u) with x a list and u a tuple, and each must return a
     sequence of the state dimension, else InvalidSystem.  If |x| leaves
     the divergence radius the run stops with status "diverged" (the
-    crossing sample is kept).  A NaN or infinite state, or an arithmetic
-    error raised by a map (OverflowError, ZeroDivisionError, ValueError
-    such as a math domain error), raises NonFiniteState when strict,
-    chained from the map's error; otherwise the run stops with status
-    "step-failure" at the last finite sample.
+    crossing sample is kept).  A NaN, infinite or complex state, or an
+    arithmetic error raised by a map (OverflowError, ZeroDivisionError,
+    ValueError such as a math domain error), raises NonFiniteState when
+    strict, chained from the error it caused; otherwise the run stops
+    with status "step-failure" at the last finite sample.
     """
     if horizon < t0:
         raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
@@ -318,7 +327,7 @@ def simulate(
     records: list[JumpRecord] = []
     status = STATUS_COMPLETE
     failed_at = 0.0
-    cause = None
+    cause, what = None, "state became non-finite"
     try:
         for a, b in zip(bounds[:-1], bounds[1:]):
             if b <= a:  # degenerate window (horizon == t0)
@@ -350,15 +359,22 @@ def simulate(
                     status = STATUS_DIVERGED
                     break
                 x = x_post
-    except (ArithmeticError, ValueError) as exc:
-        if isinstance(exc, ValueError) and _raised_by_kernel(exc):
-            raise InvalidSystem(
-                f"a map of system {system.name!r} did not return "
-                f"{system.dim_x} components: {exc}"
-            ) from exc
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        frame = _raising_frame(exc)
+        complex_state = _holds_complex(frame)
+        if not complex_state and not isinstance(exc, ArithmeticError):
+            # over a real state the kernel's own code raises a ValueError or
+            # TypeError only when unpacking a map's result
+            if frame.f_code.co_filename == _KERNEL_FILE:
+                raise InvalidSystem(
+                    f"a map of system {system.name!r} did not return a sequence "
+                    f"of {system.dim_x} components: {exc}"
+                ) from exc
+            if isinstance(exc, TypeError):
+                raise
         status, failed_at, cause = STATUS_STEP_FAILURE, times[-1], exc
+        what = "state became complex" if complex_state else f"a map raised {exc!r}"
     if status == STATUS_STEP_FAILURE and strict:
-        what = "state became non-finite" if cause is None else f"a map raised {cause!r}"
         raise NonFiniteState(f"{what} at t={failed_at:.6g}") from cause
 
     return Trajectory(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from impstab.certificates import (
     replay_witness,
     settling_time_profile,
 )
-from impstab.comparison import exp_decay_kl, identity, power, saturating
+from impstab.comparison import exp_decay_kl, identity, power, rational_decay_kl, saturating
 from impstab.errors import (
     ClassViolation,
     ConfigError,
@@ -314,6 +315,58 @@ class TestIissAndUbebs:
         )
 
 
+def without_inverses(cert: IissCertificate) -> IissCertificate:
+    """The same gain pair with every closed-form inverse removed."""
+    return IissCertificate(
+        replace(cert.alpha, inverse=None),
+        replace(cert.beta, inverse_at_zero=None),
+        cert.rho1,
+        cert.rho2,
+        cert.mode,
+    )
+
+
+DERIVE = {"decay": derive_guas_from_iiss, "overshoot": derive_ubebs_from_iiss}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVE))
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (identity(), exp_decay_kl(1.0, math.log(2.0))),
+        (identity(), exp_decay_kl(3.0, 0.2)),
+        (power(2.0), exp_decay_kl(1.0, math.log(2.0))),
+        (power(0.5), rational_decay_kl(2.0, 1.0)),
+    ],
+    ids=["id-exp", "id-exp-slow", "square-exp", "sqrt-rational"],
+)
+def test_closed_form_inverses_keep_falsify_results(kind, alpha, beta):
+    """Derived certificates searched with and without the closed-form
+    inverses give the same verdicts, trials, inconclusive counts and
+    witnesses; only margins may move, at the last few ulps."""
+    base = IissCertificate(alpha, beta, identity(), identity())
+    for name in ("lin-contract", "double-jump", "bilinear"):
+        for seed in (1, 2):
+            reps = [
+                falsify(DERIVE[kind](c), get_example(name), periodic_family(0.5), 24, seed=seed)
+                for c in (base, without_inverses(base))
+            ]
+            fast, slow = (r.to_dict() for r in reps)
+            assert (fast["verdict"], fast["trials"], fast["details"]) == (
+                slow["verdict"],
+                slow["trials"],
+                slow["details"],
+            )
+            assert fast["worst_margin"] == pytest.approx(slow["worst_margin"], rel=1e-12, abs=1e-14)
+            if slow["witness"] is None:
+                assert fast["witness"] is None
+                continue
+            wf, ws = fast["witness"], slow["witness"]
+            for key in ("lhs", "rhs", "margin"):
+                assert wf.pop(key) == pytest.approx(ws.pop(key), rel=1e-12, abs=1e-14)
+            assert wf == ws
+
+
 class TestDerivedCertificates:
     def test_decay_through_square_gauge(self):
         base = IissCertificate(
@@ -427,6 +480,23 @@ class TestFalsify:
         assert rep.verdict == "pass"
         assert rep.trials == 9
         assert rep.details["inconclusive_trials"] == 9
+
+    def test_complex_state_makes_trial_inconclusive(self):
+        """Trials from a negative state turn complex and end as step
+        failures; the search still runs its whole budget."""
+        sys1 = system_from_config(
+            {
+                "name": "complex-below-zero",
+                "dim_x": 1,
+                "dim_u": 1,
+                "flow": ["-x1 + 0.0 * x1 ** 0.5"],
+                "jump": ["-0.5*x1"],
+            }
+        )
+        rep = falsify(decaying_guas_certificate(3.0, 0.5), sys1, periodic_family(0.5), budget=12)
+        assert rep.verdict == "pass"
+        assert rep.trials == 12
+        assert 0 < rep.details["inconclusive_trials"] < 12
 
     def test_bad_arguments(self):
         cert = decaying_guas_certificate()

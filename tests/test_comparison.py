@@ -1,13 +1,17 @@
 """Gauge classes, inversion, and certificate transformations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impstab.comparison import (
     ComparisonFn,
     KLFn,
+    _beta_at_zero,
     compose,
     eval_array,
     eval_kl_array,
@@ -120,6 +124,136 @@ class TestInvert:
         got = invert_array(fn, ys)
         want = np.array([invert(fn, float(y)) for y in ys])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# every gauge the package builds with a closed-form inverse
+STOCK_INVERTIBLE = [
+    identity(),
+    linear(3.0),
+    linear(0.25, domain_hint=1e3),
+    power(2.0),
+    power(0.5),
+    power(3.0, 2.5, domain_hint=50.0),
+    log_growth(),
+    log_growth(3.0),
+    _beta_at_zero(exp_decay_kl(2.0, 0.5)),
+    _beta_at_zero(rational_decay_kl(1.5, 2.0)),
+]
+STOCK_IDS = [fn.name for fn in STOCK_INVERTIBLE]
+
+
+def bisection_only(fn: ComparisonFn) -> ComparisonFn:
+    """The same gauge without its closed form: the bisection oracle."""
+    return replace(fn, inverse=None)
+
+
+def counting(fn: ComparisonFn):
+    """fn with an evaluator that records each call."""
+    calls = []
+
+    def ev(r):
+        calls.append(r)
+        return fn.evaluator(r)
+
+    return replace(fn, evaluator=ev), calls
+
+
+class TestClosedFormInverse:
+    """The stock inverses are checked directly: inside `invert` the
+    residual guard would send a wrong one to the bisection unseen."""
+
+    @pytest.mark.parametrize("fn", STOCK_INVERTIBLE, ids=STOCK_IDS)
+    def test_matches_bisection_oracle(self, fn):
+        assert fn.inverse is not None
+        top = float(fn(fn.domain_hint))
+        ys = np.concatenate(([0.0], np.geomspace(1e-300, top, 400), [top]))
+        got = np.asarray(fn.inverse(ys), dtype=float)
+        want = invert_array(bisection_only(fn), ys)
+        # roots below the normal range are compared in absolute terms
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
+        for y, r in zip(ys[::37], got[::37]):
+            # a float takes Python's power, an array numpy's: one ulp apart
+            assert float(fn.inverse(float(y))) == pytest.approx(r, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("fn", STOCK_INVERTIBLE, ids=STOCK_IDS)
+    def test_no_bisection_runs(self, fn):
+        # f(hint), f(0) and one residual check: no bisection step
+        counted, calls = counting(fn)
+        ys = np.linspace(0.0, float(fn(fn.domain_hint)), 1000)
+        want = np.clip(fn.inverse(ys), 0.0, fn.domain_hint)
+        np.testing.assert_array_equal(invert_array(counted, ys), want)
+        assert len(calls) == 3
+        del calls[:]
+        invert(counted, float(ys[500]))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda y: 2.0 * y, lambda y: -1.0 - y, lambda y: np.nan * y, lambda y: 1e300 + y],
+        ids=["scaled", "negative", "nan", "huge"],
+    )
+    def test_wrong_inverse_costs_speed_not_correctness(self, wrong):
+        oracle = ComparisonFn(lambda r: r**3 + r, domain_hint=100.0)
+        fn = replace(oracle, inverse=wrong)
+        ys = np.concatenate(([0.0], np.geomspace(1e-9, float(oracle(100.0)), 60)))
+        got = invert_array(fn, ys)
+        np.testing.assert_allclose(got, invert_array(oracle, ys), rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(oracle(got) - ys) <= 1e-10 * (1.0 + ys))
+        for y in ys[::7]:
+            assert invert(fn, float(y)) == invert(oracle, float(y))
+
+    def test_range_checks_come_first(self):
+        for fn in STOCK_INVERTIBLE:
+            top = float(fn(fn.domain_hint))
+            for bad in (-1.0, math.inf, math.nan, 2.0 * top + 1.0):
+                with pytest.raises(OutOfRange):
+                    invert(fn, bad)
+                with pytest.raises(OutOfRange):
+                    invert_array(fn, np.array([1e-3, bad]))
+
+    def test_inverse_fn_inverts_through_the_original(self):
+        square = power(2.0)
+        inv = inverse_fn(square)
+        assert inv.inverse is square.evaluator
+        counted, calls = counting(inv)
+        ys = np.linspace(0.0, 1000.0, 1000)
+        np.testing.assert_allclose(invert_array(counted, ys), ys**2, rtol=1e-12)
+        assert len(calls) == 3
+
+    def test_compose_carries_both_inverses(self):
+        fn = compose(power(2.0), linear(3.0))
+        ys = np.geomspace(1e-6, 1e6, 50)
+        np.testing.assert_allclose(fn.inverse(ys), np.sqrt(ys) / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(fn.inverse(ys), invert_array(bisection_only(fn), ys), rtol=1e-12)
+        assert compose(power(2.0), saturating()).inverse is None
+        assert compose(ComparisonFn(lambda r: r), identity()).inverse is None
+
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["identity", "linear", "power", "log-growth", "exp-decay", "rational-decay"]),
+    st.floats(0.05, 20.0),
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+)
+def test_stock_inverse_property(kind, p, scale, fractions):
+    """For any parameters, the closed form meets the bisection oracle
+    anywhere in the reachable range."""
+    fn = {
+        "identity": lambda: identity(),
+        "linear": lambda: linear(scale),
+        "power": lambda: power(p, scale, domain_hint=1e3),
+        "log-growth": lambda: log_growth(scale),
+        "exp-decay": lambda: _beta_at_zero(exp_decay_kl(scale, p)),
+        "rational-decay": lambda: _beta_at_zero(rational_decay_kl(scale, p)),
+    }[kind]()
+    ys = float(fn(fn.domain_hint)) * np.asarray(fractions)
+    want = invert_array(bisection_only(fn), ys)
+    np.testing.assert_allclose(fn.inverse(ys), want, rtol=1e-12, atol=np.finfo(float).tiny)
+    np.testing.assert_allclose(invert_array(fn, ys), want, rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 class TestComposeInverse:

@@ -19,6 +19,15 @@ def bundled(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+def assert_numeric_rows(path) -> None:
+    """Every field of every row after the header reads as a float."""
+    rows = path.read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        for field in row.split(","):
+            float(field)
+
+
 class TestBundledScenarios:
     def test_sound_scenario_passes(self, tmp_path):
         scenario = bundled("lin_contract_iiss")
@@ -49,6 +58,7 @@ class TestBundledScenarios:
         assert plot.exists() and traj.exists()
         header = plot.read_text().splitlines()[0]
         assert header == "t,state_norm,bound"
+        assert_numeric_rows(plot)
         meta = json.loads((out / "meta.json").read_text())
         assert "created" in meta
 
@@ -61,6 +71,7 @@ class TestBundledScenarios:
         assert entry["report"]["witness"] is not None
         # the falsified trajectory is replayed into plot artifacts
         assert (out / "decay-falsify-plot.csv").exists()
+        assert_numeric_rows(out / "decay-falsify-plot.csv")
 
 
 class TestOutDirPrecedence:

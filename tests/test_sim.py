@@ -558,6 +558,50 @@ class TestMapErrors:
         with pytest.raises(InvalidSystem, match=which):
             ImpulsiveSystem("bad", 1, 1, maps["flow"], maps["jump"])
 
+    @pytest.mark.parametrize("kernel", ["fused", "map-calling"])
+    @pytest.mark.parametrize(
+        "flow, jump, end",
+        [("x1 ** 0.5", "0.0", 0.0), ("-x1", "x1 ** 0.5", 0.5)],
+        ids=["flow", "jump"],
+    )
+    def test_complex_state_is_step_failure(self, kernel, flow, jump, end):
+        """A fractional power of a negative state is complex; the run ends
+        at the last real sample instead of raising TypeError."""
+        system = system_from_config(
+            {"name": "complex", "dim_x": 1, "dim_u": 1, "flow": [flow], "jump": [jump]}
+        )
+        if kernel == "map-calling":
+            m = system.flow
+            system = ImpulsiveSystem("complex", 1, 1, lambda t, x, u: m(t, x, u), system.jump)
+        w = hybrid(zero_signal(), 0.5)
+        traj = simulate(system, 0.0, [-1.0], w, 1.0, 1e-2, strict=False)
+        assert traj.status == STATUS_STEP_FAILURE
+        assert traj.end_time == end and not traj.jumps
+        assert traj.states.dtype == float and np.all(np.isfinite(traj.states))
+        with pytest.raises(NonFiniteState, match="complex") as info:
+            simulate(system, 0.0, [-1.0], w, 1.0, 1e-2)
+        assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("which", ["flow", "jump"])
+    @pytest.mark.parametrize("result", [None, 1.0], ids=["None", "float"])
+    def test_non_sequence_result_is_invalid_system(self, which, result):
+        maps = {"flow": lambda t, x, u: (-x[0],), "jump": lambda t, x, u: (0.0,)}
+        maps[which] = lambda t, x, u: result
+        system = ImpulsiveSystem("not-a-sequence", 1, 1, maps["flow"], maps["jump"])
+        w = hybrid(zero_signal(), 0.5)
+        for strict in (False, True):
+            with pytest.raises(InvalidSystem, match="sequence") as info:
+                simulate(system, 0.0, [1.0], w, 1.0, 1e-2, strict=strict)
+            assert isinstance(info.value.__cause__, TypeError)
+
+    def test_type_error_inside_a_map_is_not_swallowed(self):
+        def broken(t, x, u):
+            return (x + 1.0,)  # a list plus a float
+
+        system = ImpulsiveSystem("broken", 1, 1, broken, lambda t, x, u: (0.0,))
+        with pytest.raises(TypeError):
+            simulate(system, 0.0, [1.0], hybrid(zero_signal()), 1.0, 1e-2, strict=False)
+
     @pytest.mark.parametrize("which", ["flow", "jump"])
     @pytest.mark.parametrize("size", [1, 3])
     def test_wrong_component_count_is_invalid_system(self, which, size):
