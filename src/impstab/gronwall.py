@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HypothesisFailed, InvalidInterval
 from .impulses import ImpulseSequence, count_jumps, count_jumps_at
-from .sim import STATUS_COMPLETE, JumpRecord, Trajectory, _segment_bounds
+from .sim import STATUS_COMPLETE, JumpRecord, Trajectory, _step_grid
 
 
 @dataclass(frozen=True)
@@ -64,37 +64,21 @@ def growth_profile(
     jumps and is multiplied by (1 + q2) at each jump, which is exactly
     the profile that turns the hypothesis into an identity.
     """
-    if horizon < data.t0:
-        raise InvalidInterval("horizon precedes t0")
-    if step <= 0:
-        raise InvalidInterval("step must be positive")
-    jump_times = data.sigma.materialize(horizon)
-    bounds = _segment_bounds(data.t0, horizon, jump_times, np.empty(0))
-    jump_set = set(float(t) for t in jump_times if t > data.t0)
-    times = [data.t0]
+    lo, hi, nsub, _, times, jump_set = _step_grid(data.t0, horizon, step, data.sigma, np.empty(0))
     vals = [data.p]
     records: list[JumpRecord] = []
     y = data.p
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        lo = float(lo)
-        hi = float(hi)
-        if hi <= lo:  # degenerate window (horizon == t0)
-            continue
-        nsub = max(1, math.ceil((hi - lo) / step - 1e-9))
-        h = (hi - lo) / nsub
-        for i in range(nsub):
-            t = hi if i == nsub - 1 else lo + (i + 1) * h
-            times.append(t)
-            vals.append(y * math.exp(data.q1 * (t - lo)))
+    for lo_k, hi_k, end in zip(lo.tolist(), hi.tolist(), np.cumsum(nsub).tolist()):
+        seg_times = times[len(vals) : end + 1].tolist()
+        vals.extend(y * math.exp(data.q1 * (t - lo_k)) for t in seg_times)
         y = vals[-1]
-        if hi in jump_set:
+        if hi_k in jump_set:
             y_post = (1.0 + data.q2) * y
-            records.append(JumpRecord(hi, np.array([y]), np.array([y_post])))
-            vals[-1] = y_post
-            y = y_post
+            records.append(JumpRecord(hi_k, np.array([y]), np.array([y_post])))
+            y = vals[-1] = y_post
     return Trajectory(
         t0=data.t0,
-        times=np.asarray(times),
+        times=times,
         states=np.asarray(vals)[:, None],
         jumps=tuple(records),
         status=STATUS_COMPLETE,

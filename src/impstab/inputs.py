@@ -52,8 +52,9 @@ class InputSignal:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, t: float) -> np.ndarray:
-        return self._padded[int(np.searchsorted(self.breakpoints, t, "right")) - 1]
+    def value_at(self, t) -> np.ndarray:
+        """The row in force at time t; for an array of times, one row each."""
+        return self._padded[np.searchsorted(self.breakpoints, t, "right") - 1]
 
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0.0))

@@ -9,12 +9,14 @@ at the start time is not applied (windows are open on the left), one
 exactly at the horizon is.
 
 Each segment is stepped by one call of a classical RK4 kernel generated
-per state dimension with its components unrolled into locals.  A flow
-map built by `compile_map` has its expressions written into the
-kernel's stages, so a step makes no call; any other flow map is called
-exactly four times per step.  Both do the same operations in the same
-order, so their results are bit-identical.  The jump map is called once
-per applied jump.  Maps are called as h(t, x, u) with x a list and u a
+per state dimension with its components unrolled into locals; a step
+appends each component to its own sample column, and the sample times
+come from the segment table in one vectorized pass.  A flow map built
+by `compile_map` has its expressions written into the kernel's stages,
+so a step makes no call; any other flow map is called exactly four
+times per step.  Both do the same operations in the same order, so their
+results are bit-identical.  The jump map is called once per applied
+jump.  Maps are called as h(t, x, u) with x a fresh list and u a
 tuple.  A map that raises an arithmetic error, or a state that turns
 complex, ends the run as "step-failure" at the last finite sample
 (NonFiniteState when strict); a map returning anything but a sequence
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInterval, InvalidSystem, NonFiniteState
+from .impulses import ImpulseSequence
 from .inputs import HybridInput
 from .systems import ImpulsiveSystem, MapSource, map_source, sandbox
 
@@ -151,20 +154,37 @@ class Trajectory:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _segment_bounds(
-    t0: float, horizon: float, jump_times: np.ndarray, breakpoints: np.ndarray
+def _step_grid(
+    t0: float, horizon: float, step: float, sigma: ImpulseSequence, breakpoints: np.ndarray
 ):
-    """Boundaries [t0, ..., horizon] hitting every event exactly once."""
-    events = np.unique(
-        np.concatenate(
-            (
-                jump_times[(jump_times > t0) & (jump_times <= horizon)],
-                breakpoints[(breakpoints > t0) & (breakpoints < horizon)],
-            )
-        )
-    )
-    inner = events[events < horizon]
-    return np.concatenate(([t0], inner, [horizon]))
+    """The grid of a run: its segment table (a, b, nsub, h), its sample
+    times, and the set of its jump times, those in (t0, horizon].  Raises
+    InvalidInterval when horizon < t0 or step is not positive.
+
+    The windows between t0, each event in (t0, horizon) once, and horizon
+    (none when horizon == t0) are each cut into the fewest nsub equal
+    steps h no longer than `step`.  The times are t0, then a + j*h for
+    step j = 1..nsub-1 of each window and exactly b for its last step.
+    """
+    if horizon < t0:
+        raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
+    if not step > 0:
+        raise InvalidInterval("step must be positive")
+    jump_times = sigma.materialize(horizon)
+    events = np.concatenate((jump_times, breakpoints))
+    events = np.unique(events[(events > t0) & (events < horizon)])
+    bounds = np.concatenate(([t0], events, [horizon]))
+    keep = bounds[1:] > bounds[:-1]
+    a, b = bounds[:-1][keep], bounds[1:][keep]
+    nsub = np.maximum(1, np.ceil((b - a) / step - 1e-9)).astype(np.int64)
+    h = (b - a) / nsub
+    ends = np.cumsum(nsub)
+    times = np.empty(1 + (int(ends[-1]) if ends.size else 0))
+    times[0] = t0
+    j = np.arange(1, times.size) - np.repeat(ends - nsub, nsub)
+    times[1:] = np.repeat(a, nsub) + j * np.repeat(h, nsub)
+    times[ends] = b
+    return a, b, nsub, h, times, set(jump_times[jump_times > t0].tolist())
 
 
 _KERNEL_FILE = "<impstab.sim kernel>"
@@ -191,14 +211,16 @@ def _kernel(n: int, source: MapSource | None = None) -> tuple:
     Generated once per dimension, and once per expression set for a flow
     map built by `compile_map` (its `source`), with every component
     unrolled into locals.  Without a source each stage calls the flow map
-    f; with one, each stage binds t and x1..xn to the stage time and state
-    and evaluates the expressions in place, u1..um unpacked once per
-    segment, so a step makes no call.  The operations and their order are
-    the same either way.  `segment` appends each step's time and state to
-    `times` and `states` and returns (x, None); a state outside the
-    divergence radius or not finite is returned unappended, with its
-    time, as (x, t).  `jump` calls the jump map g and returns the
-    post-jump state.
+    f with a fresh list; with one, each stage binds x1..xn to the stage
+    state and evaluates the expressions in place, u1..um unpacked once per
+    segment, so a step makes no call.  Stage times are computed only for
+    f or for expressions that name t.  The operations and their order are
+    the same either way.  `segment(f, a, nsub, h, x, u, cols)` takes nsub
+    steps of length h from x at time a, appending component i of each
+    state to cols[i], and returns (last state, False); a state outside
+    the divergence radius or not finite is returned unappended, with
+    True.  `jump` calls g with a fresh list and returns the post-jump
+    state and whether it is outside the radius or not finite.
     """
     key = (n, source)
     if key in _KERNELS:
@@ -207,49 +229,52 @@ def _kernel(n: int, source: MapSource | None = None) -> tuple:
     def row(fmt: str) -> str:
         return ", ".join(fmt.format(i=i) for i in range(n))
 
+    timed = source is None or any(
+        "t" in compile(e, "<flow>", "eval").co_names for e in source.exprs
+    )
+
     def stage(k: str, t: str, c: str | None = None, prev: str = "") -> str:
         """Stage k at time t and state s + c * prev (s itself when c is None)."""
         xs = [f"s{i}" if c is None else f"s{i} + {c} * {prev}{i}" for i in range(n)]
         if source is None:
-            arg = "x" if c is None else f"[{', '.join(xs)}]"
-            return f"{row(k + '{i}')}, = f({t}, {arg}, u)"
-        lines = [f"t = {t}"] + [f"x{i + 1} = {v}" for i, v in enumerate(xs)]
+            return f"{row(k + '{i}')}, = f({t}, [{', '.join(xs)}], u)"
+        lines = [f"t = {t}"] if timed else []
+        lines += [f"x{i + 1} = {v}" for i, v in enumerate(xs)]
         lines += [f"{k}{i} = ({e})" for i, e in enumerate(source.exprs)]
         return "\n        ".join(lines)
 
+    sumsq = " + ".join(f"s{i} * s{i}" for i in range(n))
     unpack_u = ""
     if source is not None:
         unpack_u = ", ".join(f"u{j + 1}" for j in range(source.dim_u)) + ", = u"
     src = f"""
-def segment(f, a, b, nsub, h, x, u, times, states):
+def segment(f, a, nsub, h, x, u, cols):
     {row('s{i}')}, = x
+    {row('c{i}')}, = cols
     {unpack_u}
     h2 = 0.5 * h
     h6 = h / 6.0
-    last = nsub - 1
     for i in range(nsub):
-        ti = a + i * h
+        {'ti = a + i * h' if timed else ''}
         {stage('k', 'ti')}
         {stage('p', 'ti + h2', 'h2', 'k')}
         {stage('q', 'ti + h2', 'h2', 'p')}
         {stage('r', 'ti + h', 'h', 'q')}
         {row('s{i}')}, = {row('s{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},
-        x = [{row('s{i}')}]
-        tn = b if i == last else a + (i + 1) * h
-        if not {' + '.join(f's{i} * s{i}' for i in range(n))} <= _SAFE_SQ and _outside(x):
-            return x, tn
-        times.append(tn)
-        states.append(x)
-    return x, None
+        if not {sumsq} <= {_SAFE_SQ!r} and _outside(({row('s{i}')},)):
+            return [{row('s{i}')}], True
+        {'; '.join(f'c{i}.append(s{i})' for i in range(n))}
+    return [{row('s{i}')}], False
 """
-    env = {"__builtins__": {}, "range": range, "_SAFE_SQ": _SAFE_SQ, "_outside": _outside}
+    env = {"__builtins__": {}, "range": range, "_outside": _outside}
     if source is None:
         src += f"""
 
 def jump(g, t, x, u):
     {row('s{i}')}, = x
-    {row('d{i}')}, = g(t, x, u)
-    return [{row('s{i} + d{i}')}]
+    {row('d{i}')}, = g(t, [{row('s{i}')}], u)
+    {row('s{i}')}, = {row('s{i} + d{i}')},
+    return [{row('s{i}')}], not {sumsq} <= {_SAFE_SQ!r} and _outside(({row('s{i}')},))
 """
         exec(compile(src, _KERNEL_FILE, "exec"), env)
         _KERNELS[key] = (env["segment"], env["jump"])
@@ -288,12 +313,14 @@ def simulate(
 ) -> Trajectory:
     """Integrate the flow with classical RK4 and apply jumps exactly.
 
-    One kernel call (see `_kernel`) steps each constant-input segment.
-    The state is carried as a list of floats.  A flow map built by
+    One kernel call (see `_kernel`) steps each constant-input segment,
+    appending each step's state components to per-component sample
+    columns; `states` is built from them once, and `times` from the
+    segment table in one vectorized pass.  A flow map built by
     `compile_map` is evaluated inside the kernel, with bit-identical
     results; any other flow map is called exactly four times per step.
     The jump map is called once per applied jump.  Maps are called as
-    h(t, x, u) with x a list and u a tuple, and each must return a
+    h(t, x, u) with x a fresh list and u a tuple, and each must return a
     sequence of the state dimension, else InvalidSystem.  If |x| leaves
     the divergence radius the run stops with status "diverged" (the
     crossing sample is kept).  A NaN, infinite or complex state, or an
@@ -302,10 +329,7 @@ def simulate(
     strict, chained from the error it caused; otherwise the run stops
     with status "step-failure" at the last finite sample.
     """
-    if horizon < t0:
-        raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
-    if step <= 0:
-        raise InvalidInterval("step must be positive")
+    a, b, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
     x = [float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))]
     if len(x) != system.dim_x:
         raise InvalidSystem(
@@ -315,46 +339,42 @@ def simulate(
         raise InvalidSystem(
             f"input has dimension {w.u.dim}, system expects {system.dim_u}"
         )
-    jump_times = w.sigma.materialize(horizon)
-    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints).tolist()
-    jump_set = set(float(t) for t in jump_times if t > t0)
+    rows = w.u.value_at(np.concatenate((a, b))).tolist()
+    u_start, u_end = map(tuple, rows[: len(a)]), rows[len(a) :]
 
     segment, jump = _kernel(len(x), map_source(system.flow))
     f = system.flow
     g = system.jump
-    times = [float(t0)]
-    states = [x]
-    records: list[JumpRecord] = []
+    cols = [[v] for v in x]
+    jumped, pre, post = [], [], []
     status = STATUS_COMPLETE
-    failed_at = 0.0
+    # a step that failed left no sample; its time is the next on the grid
+    failed_next = False
     cause, what = None, "state became non-finite"
     try:
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b <= a:  # degenerate window (horizon == t0)
-                continue
-            useg = tuple(float(v) for v in w.u.value_at(a))
-            nsub = max(1, math.ceil((b - a) / step - 1e-9))
-            x, t_stop = segment(f, a, b, nsub, (b - a) / nsub, x, useg, times, states)
-            if t_stop is not None:
+        for ak, bk, nk, hk, uk, ub in zip(
+            a.tolist(), b.tolist(), nsub.tolist(), h.tolist(), u_start, u_end
+        ):
+            x, stopped = segment(f, ak, nk, hk, x, uk, cols)
+            if stopped:
                 if all(math.isfinite(v) for v in x):
-                    times.append(t_stop)
-                    states.append(x)
+                    for c, v in zip(cols, x):
+                        c.append(v)
                     status = STATUS_DIVERGED
                 else:
-                    status, failed_at = STATUS_STEP_FAILURE, t_stop
+                    status, failed_next = STATUS_STEP_FAILURE, True
                 break
-            if b in jump_set:
-                upost = tuple(float(v) for v in w.u.value_at(b))
-                x_post = jump(g, b, x, upost)
-                outside = _outside(x_post)
+            if bk in jump_set:
+                x_post, outside = jump(g, bk, x, tuple(ub))
                 if outside and not all(math.isfinite(v) for v in x_post):
                     # drop the bad post-jump value, keep the pre state
-                    status, failed_at = STATUS_STEP_FAILURE, b
+                    status = STATUS_STEP_FAILURE
                     break
-                records.append(
-                    JumpRecord(b, np.asarray(x, dtype=float), np.asarray(x_post, dtype=float))
-                )
-                states[-1] = x_post
+                jumped.append(bk)
+                pre.append(x)
+                post.append(x_post)
+                for c, v in zip(cols, x_post):
+                    c[-1] = v
                 if outside:
                     status = STATUS_DIVERGED
                     break
@@ -372,16 +392,22 @@ def simulate(
                 ) from exc
             if isinstance(exc, TypeError):
                 raise
-        status, failed_at, cause = STATUS_STEP_FAILURE, times[-1], exc
+        status, cause = STATUS_STEP_FAILURE, exc
         what = "state became complex" if complex_state else f"a map raised {exc!r}"
+    # the samples are a prefix of the grid; a run that stopped early
+    # leaves the rest of it unsampled
+    kept = len(cols[0])
     if status == STATUS_STEP_FAILURE and strict:
+        failed_at = float(times[kept if failed_next else kept - 1])
         raise NonFiniteState(f"{what} at t={failed_at:.6g}") from cause
 
     return Trajectory(
         t0=float(t0),
-        times=np.asarray(times),
-        states=np.asarray(states),
-        jumps=tuple(records),
+        times=times[:kept],
+        states=np.ascontiguousarray(np.array(cols, dtype=float).T),
+        jumps=tuple(
+            map(JumpRecord, jumped, np.array(pre, dtype=float), np.array(post, dtype=float))
+        ),
         status=status,
         step=float(step),
         input_used=w,
@@ -450,52 +476,34 @@ def closed_form_linear_impulsive(
     each jump time; sampled on the very same grid `simulate` uses so the
     two trajectories compare sample-by-sample.
     """
-    if horizon < t0:
-        raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
-    if step <= 0:
-        raise InvalidInterval("step must be positive")
+    lo, hi, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
     if w.u.dim != 1:
         raise InvalidSystem("closed form is for scalar input")
     x_arr = np.atleast_1d(np.asarray(x0, dtype=float))
     if x_arr.shape != (1,):
         raise InvalidSystem("closed form is for scalar state")
-    jump_times = w.sigma.materialize(horizon)
-    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints)
-    jump_set = set(float(t) for t in jump_times if t > t0)
 
     x = float(x_arr[0])
-    times = [float(t0)]
     vals = [x]
     records: list[JumpRecord] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:  # degenerate window (horizon == t0)
-            continue
-        u0 = float(w.u.value_at(float(lo))[0])
-        nsub = max(1, math.ceil((hi - lo) / step - 1e-9))
-        h = (hi - lo) / nsub
-        offs = np.arange(1, nsub + 1) * h
-        offs[-1] = hi - lo
+    for lo_k, hi_k, n_k, h_k, u0 in zip(
+        lo.tolist(), hi.tolist(), nsub.tolist(), h.tolist(), w.u.value_at(lo)[:, 0].tolist()
+    ):
+        offs = np.arange(1, n_k + 1) * h_k
+        offs[-1] = hi_k - lo_k
         if a != 0.0:
             grow = np.exp(a * offs)
             seg_vals = grow * x + (u0 / a) * (grow - 1.0)
         else:
             seg_vals = x + u0 * offs
-        node_ts = lo + offs
-        node_ts[-1] = hi
-        times.extend(float(t) for t in node_ts)
-        vals.extend(float(v) for v in seg_vals)
-        x = float(seg_vals[-1])
-        bf = float(hi)
-        if bf in jump_set:
-            x_pre = x
-            x = jump_factor * x
-            records.append(
-                JumpRecord(bf, np.array([x_pre]), np.array([x]))
-            )
-            vals[-1] = x
+        vals.extend(seg_vals.tolist())
+        x = vals[-1]
+        if hi_k in jump_set:
+            records.append(JumpRecord(hi_k, np.array([x]), np.array([jump_factor * x])))
+            x = vals[-1] = jump_factor * x
     return Trajectory(
         t0=float(t0),
-        times=np.asarray(times),
+        times=times,
         states=np.asarray(vals)[:, None],
         jumps=tuple(records),
         status=STATUS_COMPLETE,

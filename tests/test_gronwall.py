@@ -59,6 +59,8 @@ class TestBound:
     def test_bad_data_rejected(self):
         with pytest.raises(InvalidInterval):
             gronwall_bound(data(), -1.0)
+        with pytest.raises(InvalidInterval):
+            growth_profile(data(), 1.0, float("nan"))
         with pytest.raises(ValueError):
             data(q1=-0.1)
         with pytest.raises(ValueError):

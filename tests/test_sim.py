@@ -1,5 +1,6 @@
 """Integrator fidelity: exact grids, jump conventions, failure handling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from impstab.sim import (
     STATUS_DIVERGED,
     STATUS_STEP_FAILURE,
     Trajectory,
-    _segment_bounds,
     closed_form_linear_impulsive,
     integral_residual,
     simulate,
@@ -188,6 +188,10 @@ class TestFailureModes:
             simulate(sys1, 1.0, [1.0], w, 0.5, 1e-2)
         with pytest.raises(InvalidInterval):
             simulate(sys1, 0.0, [1.0], w, 1.0, 0.0)
+        with pytest.raises(InvalidInterval):
+            simulate(sys1, 0.0, [1.0], w, 1.0, math.nan)
+        with pytest.raises(InvalidInterval):
+            closed_form_linear_impulsive(-1.0, 0.5, 0.0, [1.0], w, 1.0, math.nan)
 
     def test_dimension_mismatch_rejected(self):
         sys1 = make_linear_system(-1.0, 0.5)
@@ -279,12 +283,18 @@ class TestSerialization:
         assert math.isclose(float(traj.x0[0]), 1.7)
 
 
+def segment_bounds(t0, horizon, jump_times, breakpoints):
+    """[t0, every jump time and breakpoint in (t0, horizon) once, horizon]."""
+    inner = {float(t) for t in (*jump_times, *breakpoints) if t0 < t < horizon}
+    return np.asarray([t0, *sorted(inner), horizon], dtype=float)
+
+
 def reference_rk4(system, t0, x0, w, horizon, step):
     """The per-component RK4 loop the segment kernel replaced, kept as the
     oracle for bit-identity: (times, states, jumps, status), never raising
     on a non-finite state."""
     jump_times = w.sigma.materialize(horizon)
-    bounds = _segment_bounds(t0, horizon, jump_times, w.u.breakpoints)
+    bounds = segment_bounds(t0, horizon, jump_times, w.u.breakpoints)
     jump_set = set(float(t) for t in jump_times if t > t0)
     f, g = system.flow, system.jump
     x = [float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))]
@@ -610,3 +620,182 @@ class TestMapErrors:
         system = ImpulsiveSystem("wrong-size", 2, 1, ok["flow"], ok["jump"])
         with pytest.raises(InvalidSystem):
             simulate(system, 0.0, [1.0, 1.0], hybrid(zero_signal(), 0.5), 1.0, 1e-2, strict=False)
+
+
+class TestMutatingMaps:
+    """A map that writes into its x argument changes neither the recorded
+    samples nor the jump records: every call gets a fresh list."""
+
+    @staticmethod
+    def scribbling(system, which):
+        maps = {"flow": system.flow, "jump": system.jump}
+        inner = maps[which]
+
+        def scribble(t, x, u):
+            out = inner(t, x, u)
+            x[0] = 1e6
+            return out
+
+        maps[which] = scribble
+        return ImpulsiveSystem("scribbling", system.dim_x, system.dim_u, **maps)
+
+    @pytest.mark.parametrize("which", ["flow", "jump"])
+    def test_samples_and_jumps_untouched(self, which):
+        system = make_linear_system(-0.7, 0.3)
+        w = hybrid(constant_signal(0.5), 0.25, 0.6)
+        clean = simulate(system, 0.0, [1.0], w, 1.0, 0.05)
+        traj = simulate(self.scribbling(system, which), 0.0, [1.0], w, 1.0, 0.05)
+        assert traj.states[0][0] == 1.0
+        assert traj.states.tobytes() == clean.states.tobytes()
+        assert traj.times.tobytes() == clean.times.tobytes()
+        assert len(traj.jumps) == 2
+        for rec, ref in zip(traj.jumps, clean.jumps):
+            assert rec.x_pre.tobytes() == ref.x_pre.tobytes()
+            assert rec.x_post.tobytes() == ref.x_post.tobytes()
+
+
+def scalar_grid(t0, horizon, step, jump_times, breakpoints):
+    """Sample times by the scalar rule, one segment at a time."""
+    bounds = segment_bounds(t0, horizon, jump_times, breakpoints)
+    times = [float(t0)]
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b <= a:
+            continue
+        nsub = max(1, math.ceil((b - a) / step - 1e-9))
+        h = (b - a) / nsub
+        times += [b if i == nsub - 1 else a + (i + 1) * h for i in range(nsub)]
+    return times
+
+
+@st.composite
+def grid_runs(draw):
+    """Start, horizon, step and a hybrid input with events anywhere,
+    sometimes exactly at the start or the horizon."""
+    t0 = draw(st.floats(0.0, 2.0))
+    horizon = t0 + draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    step = draw(st.floats(0.01, 1.0))
+    events = st.lists(st.floats(0.001, 5.0), max_size=4)
+    bps = sorted(set(draw(events)) | {0.0})
+    taus = set(draw(events))
+    taus |= {t for t in (t0, horizon) if t > 0.0 and draw(st.booleans())}
+    u = InputSignal(np.asarray(bps), np.linspace(-1.0, 1.0, len(bps)))
+    return t0, horizon, step, HybridInput(u, ImpulseSequence.from_times(sorted(taus)))
+
+
+LIN = system_from_config(EXAMPLE_CONFIGS["lin-contract"])
+TIMED = system_from_config(
+    {"name": "timed", "dim_x": 1, "dim_u": 1, "flow": ["u1 - x1 + t"], "jump": ["-0.5*x1"]}
+)
+BLOW_UP = system_from_config(
+    {"name": "blow-up", "dim_x": 1, "dim_u": 1, "flow": ["x1 * x1"], "jump": ["x1"]}
+)
+
+
+@settings(max_examples=150)
+@given(grid_runs())
+def test_times_follow_the_scalar_rule(run):
+    """Completed, diverged and failed runs sample a prefix of the scalar
+    grid, one state per time; a strict failure names the failing step's
+    time, the last sample after a map error."""
+    t0, horizon, step, w = run
+    grid = scalar_grid(t0, horizon, step, w.sigma.materialize(horizon), w.u.breakpoints)
+    cut = t0 + 0.4 * (horizon - t0)
+    nan_flow = ImpulsiveSystem(
+        "nan", 1, 1, lambda t, x, u: (float("nan") if t > cut else -x[0],), lambda t, x, u: (0.0,)
+    )
+    raising = ImpulsiveSystem(
+        "raises", 1, 1, lambda t, x, u: (1 / (t <= cut) - x[0],), lambda t, x, u: (0.0,)
+    )
+    for system, x0 in ((LIN, 1.0), (TIMED, 1.0), (BLOW_UP, 10.0), (nan_flow, 1.0), (raising, 1.0)):
+        traj = simulate(system, t0, [x0], w, horizon, step, strict=False)
+        k = len(traj.times)
+        assert traj.states.shape == (k, 1) and traj.states.flags.c_contiguous
+        assert traj.times.tolist() == grid[:k]
+        if traj.status == STATUS_COMPLETE:
+            assert k == len(grid)
+        elif traj.status == STATUS_DIVERGED:
+            assert abs(traj.states[-1][0]) >= DIVERGENCE_RADIUS
+        else:
+            assert k < len(grid) and system in (nan_flow, raising)
+            failed_at = grid[k] if system is nan_flow else grid[k - 1]
+            with pytest.raises(NonFiniteState, match=f"at t={failed_at:.6g}$"):
+                simulate(system, t0, [x0], w, horizon, step)
+
+
+def digest_runs():
+    """A fixed set of runs over every kernel path: the five library systems
+    (fused kernel), a hand-written linear system and a 2-d compiled system
+    whose flow reads t, each under several inputs and jump grids, plus
+    diverged and step-failure runs, lenient and strict."""
+    library = [system_from_config(EXAMPLE_CONFIGS[name]) for name in sorted(EXAMPLE_CONFIGS)]
+    osc = system_from_config(
+        {"name": "osc", "dim_x": 2, "dim_u": 1,
+         "flow": ["x2 + 0.1*t", "-x1 - 0.1*x2 + u1"], "jump": ["0.1*x1", "-0.5*x2"]}
+    )
+    systems = library + [make_linear_system(-0.7, 0.3), osc]
+    rng = np.random.default_rng(20191)
+    inputs = [
+        zero_signal(),
+        constant_signal(0.8),
+        pulse_train(start=0.3, period=0.9, width=0.25, amplitude=1.2, count=4),
+        InputSignal(np.sort(rng.uniform(0.0, 4.0, 5)), rng.uniform(-2.0, 2.0, (5, 1))),
+    ]
+    grids = [
+        ImpulseSequence.from_times(()),
+        periodic_family(0.5).sampler(0, 10.0),
+        ImpulseSequence.from_times(np.array([0.37, 1.0, 2.2, 3.9])),
+    ]
+    for k, system in enumerate(systems):
+        for j, u in enumerate(inputs):
+            for i, sigma in enumerate(grids):
+                t0 = 0.1 * ((k + j + i) % 4)
+                x0 = rng.uniform(-3.0, 3.0, system.dim_x)
+                step = (0.013, 0.05, 0.1)[(j + i) % 3]
+                yield system, t0, x0, HybridInput(u, sigma), t0 + 4.0, step, False
+    periodic = HybridInput(zero_signal(), periodic_family(0.5).sampler(0, 40.0))
+    yield make_linear_system(4.0, 3.0), 0.0, [1.0], periodic, 30.0, 1e-2, False
+    yield BLOW_UP, 0.0, [1.0], periodic, 30.0, 1e-2, False
+    nan_flow = ImpulsiveSystem(
+        "nan-flow", 1, 1,
+        lambda t, x, u: (float("nan"),) if t > 1.0 else (-x[0],),
+        lambda t, x, u: (0.0,),
+    )
+    sqrt_flow = system_from_config(
+        {"name": "sqrt", "dim_x": 1, "dim_u": 1, "flow": ["-sqrt(x1)"], "jump": ["0.0"]}
+    )
+    inf_jump = ImpulsiveSystem(
+        "inf-jump", 1, 1, lambda t, x, u: (-x[0],), lambda t, x, u: (float("inf"),)
+    )
+    w = hybrid(constant_signal(0.5), 0.5, 1.5)
+    for system, x0 in ((nan_flow, [1.0]), (sqrt_flow, [0.3]), (inf_jump, [1.0])):
+        for strict in (False, True):
+            yield system, 0.0, x0, w, 2.0, 1e-2, strict
+
+
+def trajectory_digest() -> str:
+    """sha256 over the status, shape, times, states and jumps of every
+    digest run, and the message of every NonFiniteState raised."""
+    h = hashlib.sha256()
+    for system, t0, x0, w, horizon, step, strict in digest_runs():
+        try:
+            traj = simulate(system, t0, x0, w, horizon, step, strict=strict)
+        except NonFiniteState as exc:
+            h.update(f"{type(exc.__cause__).__name__}: {exc}".encode())
+            continue
+        h.update(traj.status.encode())
+        h.update(repr(traj.states.shape).encode())
+        h.update(traj.times.tobytes())
+        h.update(traj.states.tobytes())
+        for rec in traj.jumps:
+            h.update(np.float64(rec.time).tobytes())
+            h.update(rec.x_pre.tobytes())
+            h.update(rec.x_post.tobytes())
+    return h.hexdigest()
+
+
+def test_pinned_trajectory_digest():
+    """Every bit of the digest runs is as the per-step kernel gave it
+    before the sample columns and the vectorized time grid."""
+    assert trajectory_digest() == (
+        "829fb4100207dd858a774aa5d27001bae414fdfdc611e7e54c5a53f25482ffb3"
+    )
