@@ -293,16 +293,18 @@ def _sides(cert: Certificate, traj: Trajectory, w: HybridInput):
 
 
 def check_guas(
-    cert: GuasCertificate, traj: Trajectory, sigma: ImpulseSequence | None = None
+    cert: GuasCertificate, traj: Trajectory, w: HybridInput | None = None
 ) -> CheckReport:
-    """Check |x(t)| <= beta(|x0|, .) pointwise on a zero-input trajectory."""
-    w = traj.input_used
-    if w is None:
+    """Check |x(t)| <= beta(|x0|, .) pointwise on a zero-input trajectory.
+
+    A supplied ``w`` must be the input that drove the trajectory
+    (InconsistentInput otherwise), as for `check_ubebs` and `check_iiss`.
+    """
+    if w is None and traj.input_used is None:
         raise NonZeroInput("trajectory carries no input record; cannot confirm zero input")
+    w = _resolve_input(traj, w)
     if not w.u.is_zero():
         raise NonZeroInput("decay check requires a zero-input trajectory")
-    if sigma is not None:
-        w = HybridInput(w.u, sigma)
     return _scan(f"guas-{cert.mode}", traj, w.sigma, *_sides(cert, traj, w))
 
 
@@ -346,8 +348,7 @@ def check_certificate(
     cert: Certificate, traj: Trajectory, w: HybridInput | None = None
 ) -> CheckReport:
     if isinstance(cert, GuasCertificate):
-        sigma = _resolve_input(traj, w).sigma if w is not None else None
-        return check_guas(cert, traj, sigma)
+        return check_guas(cert, traj, w)
     if isinstance(cert, UbebsCertificate):
         return check_ubebs(cert, traj, w)
     if isinstance(cert, IissCertificate):
@@ -698,7 +699,13 @@ def _scaled_to_energy(
     t_end: float,
     target: float,
 ) -> tuple[InputSignal, float]:
-    """Scale a signal so its energy over (t0, t_end] is at most target."""
+    """Scale a signal so its energy over (t0, t_end] is at most target.
+
+    Returns the scaled signal and its energy.  Forty bisection steps on
+    the factor, each priced by `EnergyProfile.scaled_total` on one
+    profile; the energy returned is the one priced when the kept factor
+    was set, and is priced afresh only if the factor stayed at 0.0.
+    """
     if target <= 0.0 or sig.is_zero():
         z = zero_signal(sig.dim)
         return z, 0.0
@@ -706,14 +713,17 @@ def _scaled_to_energy(
     base = profile.scaled_total(1.0)
     if base <= target:
         return sig, base
-    lo, hi = 0.0, 1.0
+    lo, hi, lo_total = 0.0, 1.0, None
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if profile.scaled_total(mid) <= target:
-            lo = mid
+        total = profile.scaled_total(mid)
+        if total <= target:
+            lo, lo_total = mid, total
         else:
             hi = mid
-    return sig.scaled(lo), profile.scaled_total(lo)
+    if lo_total is None:
+        lo_total = profile.scaled_total(lo)
+    return sig.scaled(lo), lo_total
 
 
 def _sample_x0(rng: np.random.Generator, dim: int, r: float, k: int) -> np.ndarray:
@@ -764,22 +774,28 @@ def _gain_violation_scan(
     alpha: ComparisonFn,
     gain: tuple[ComparisonFn, ComparisonFn] | None,
     r: float,
-    eps: float,
+    eps_grid,
     t0_max: float,
     horizon: float,
     step: float,
     trials: int,
     seed_path: list[int],
-) -> _ScanResult:
-    """Largest strong time at which alpha(|x|) still exceeds eps + energy.
+) -> list[_ScanResult]:
+    """For each eps, the largest strong time at which alpha(|x|) still
+    exceeds eps + energy; one result per eps, in order.
 
-    A gain of None drives every trial with zero input.  Saturation means
-    some trial's violations persist into the edge of its observable
-    strong-time window, i.e. no settling was seen.
+    Every eps is judged on the same trials: each trial is drawn,
+    simulated and its gauge values taken once, then each eps's threshold
+    is applied in turn, so a result is the one a scan of that eps alone
+    gives.  A gain of None drives every trial with zero input.
+    Saturation means some trial's violations persist into the edge of
+    its observable strong-time window, i.e. no settling was seen.
     """
-    worst_T = 0.0
+    if not eps_grid:
+        return []
+    worst_T = [0.0] * len(eps_grid)
+    saturated = [False] * len(eps_grid)
     max_seen = 0.0
-    saturated = False
     for k in range(trials):
         rng = np.random.default_rng(seed_path + [k])
         t0 = float(rng.uniform(0.0, t0_max)) if t0_max > 0 else 0.0
@@ -788,17 +804,18 @@ def _gain_violation_scan(
             horizon, step, gain, math.inf,
         )
         lhs = _gauge_values(alpha, norms)
-        rhs = eps + wnorm
-        viol = lhs > rhs + TOL_SCALE * (1.0 + rhs)
         trial_max = float(np.max(sargs)) if sargs.size else 0.0
         max_seen = max(max_seen, trial_max)
-        if np.any(viol):
-            t_v = float(np.max(sargs[viol]))
-            worst_T = max(worst_T, t_v)
-            edge = max(4.0 * step, 0.02 * trial_max)
-            if t_v >= trial_max - edge:
-                saturated = True
-    return _ScanResult(worst_T, saturated, max_seen)
+        edge = max(4.0 * step, 0.02 * trial_max)
+        for i, eps in enumerate(eps_grid):
+            rhs = eps + wnorm
+            viol = lhs > rhs + TOL_SCALE * (1.0 + rhs)
+            if np.any(viol):
+                t_v = float(np.max(sargs[viol]))
+                worst_T[i] = max(worst_T[i], t_v)
+                if t_v >= trial_max - edge:
+                    saturated[i] = True
+    return [_ScanResult(T, sat, max_seen) for T, sat in zip(worst_T, saturated)]
 
 
 def check_eps_delta_conditions(
@@ -905,13 +922,13 @@ def check_eps_delta_conditions(
     cell = 0
     for r in cfg.r_grid:
         for eps in cfg.eps_grid:
-            scan = _gain_violation_scan(
+            (scan,) = _gain_violation_scan(
                 system,
                 family,
                 cfg.alpha_tilde,
                 input_gain,
                 r,
-                eps,
+                (eps,),
                 cfg.t0_max,
                 cfg.horizon,
                 cfg.step,
@@ -956,6 +973,32 @@ class SettlingEstimate:
         return float(self.value)
 
 
+def _settling_scans(
+    system: ImpulsiveSystem,
+    family: ImpulseFamily,
+    alpha: ComparisonFn,
+    r_grid,
+    eps_grid,
+    config: SettlingConfig,
+    budget: int,
+    seed: int,
+) -> list[list[_ScanResult]]:
+    """One `_gain_violation_scan` per r, over every eps, each on the seed
+    path [seed, 44].  OutOfRange for any r <= 0 or eps <= 0, before
+    anything is simulated."""
+    if any(r <= 0 for r in r_grid) or any(eps <= 0 for eps in eps_grid):
+        raise OutOfRange("need r > 0 and eps > 0")
+    gain = None if config.zero_input else config.gain
+    eps_grid = [float(eps) for eps in eps_grid]
+    return [
+        _gain_violation_scan(
+            system, family, alpha, gain, float(r), eps_grid,
+            config.t0_max, config.horizon, config.step, budget, [seed, 44],
+        )
+        for r in r_grid
+    ]
+
+
 def estimate_settling_time(
     system: ImpulsiveSystem,
     family: ImpulseFamily,
@@ -970,23 +1013,11 @@ def estimate_settling_time(
 
     Raw sampling estimate: no smoothing across (r, eps).  A saturated
     result means violations persisted to the edge of the observable
-    window, so no finite settling threshold was seen within budget.
+    window, so no finite settling threshold was seen within budget.  It
+    is the one-cell case of `settling_time_profile`, with the same
+    trials, so it equals that profile's cell bit for bit.
     """
-    if r <= 0 or eps <= 0:
-        raise OutOfRange("need r > 0 and eps > 0")
-    scan = _gain_violation_scan(
-        system,
-        family,
-        alpha,
-        None if config.zero_input else config.gain,
-        r,
-        eps,
-        config.t0_max,
-        config.horizon,
-        config.step,
-        budget,
-        [seed, 44],
-    )
+    [[scan]] = _settling_scans(system, family, alpha, (r,), (eps,), config, budget, seed)
     return SettlingEstimate(
         value=scan.threshold,
         saturated=scan.saturated,
@@ -1007,23 +1038,16 @@ def settling_time_profile(
 ) -> dict:
     """Settling estimates over a grid, with monotonicity flags.
 
-    The underlying quantity is nondecreasing in r and nonincreasing in
-    eps; sampled estimates are reported raw and simply flagged when
-    they wobble beyond the sampling tolerance, not adjusted.
+    Each cell is `estimate_settling_time` of its (r, eps), bit for bit,
+    but every eps of one r is read off the same simulated trials, so a
+    row costs one scan.  OutOfRange for any r <= 0 or eps <= 0.  The
+    underlying quantity is nondecreasing in r and nonincreasing in eps;
+    sampled estimates are reported raw and simply flagged when they
+    wobble beyond the sampling tolerance, not adjusted.
     """
-    est = []
-    sat = []
-    for r in r_grid:
-        row = []
-        satrow = []
-        for eps in eps_grid:
-            e = estimate_settling_time(
-                system, family, alpha, float(r), float(eps), config, budget, seed
-            )
-            row.append(e.value)
-            satrow.append(e.saturated)
-        est.append(row)
-        sat.append(satrow)
+    scans = _settling_scans(system, family, alpha, r_grid, eps_grid, config, budget, seed)
+    est = [[s.threshold for s in row] for row in scans]
+    sat = [[s.saturated for s in row] for row in scans]
     arr = np.asarray(est)
     band = 2.0 * config.step + 1e-9
     mono_r = bool(np.all(np.diff(arr, axis=0) >= -band)) if arr.shape[0] > 1 else True

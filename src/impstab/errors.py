@@ -31,7 +31,7 @@ class MissingEnvelope(ImpstabError, LookupError):
 
 class NonFiniteState(ImpstabError, ArithmeticError):
     """The state became NaN or infinite, or a map raised an arithmetic
-    error, during strict simulation."""
+    error, during strict simulation; or the initial state is not finite."""
 
 
 class InvalidSystem(ImpstabError, ValueError):

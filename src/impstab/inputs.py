@@ -269,7 +269,8 @@ class EnergyProfile:
         self._keep = ends > starts
         self._lengths = (ends - starts)[self._keep]
         self._knots = np.concatenate(([self.t0], ends[self._keep]))
-        self._cum = self._flow_cum(self._rows)
+        # sequential running sums from 0.0, one term per nonempty piece
+        self._cum = np.cumsum(np.concatenate(([0.0], self._flow_terms(self._rows))))
         taus = w.sigma.materialize(self.horizon)
         taus = taus[taus > self.t0]
         self._taus = taus
@@ -277,25 +278,37 @@ class EnergyProfile:
         # (before the first breakpoint) is the zero row
         self._padded = w.u._padded
         self._jump_row = np.searchsorted(w.u.breakpoints, taus, "right") - 1
-        self._jump_cum = self._jump_part(self._padded)
+        self._jump_cum = np.zeros(1)
+        if taus.size:
+            self._jump_cum = np.concatenate(([0.0], np.cumsum(self._jump_mags(self._padded))))
 
-    def _flow_cum(self, rows: np.ndarray) -> np.ndarray:
-        rates = eval_array(self._rho1, np.linalg.norm(rows, axis=1))
-        # sequential running sum from 0.0, one term per nonempty piece
-        return np.cumsum(np.concatenate(([0.0], self._lengths * rates[self._keep])))
+    def _flow_terms(self, rows: np.ndarray) -> np.ndarray:
+        # the expression np.linalg.norm(rows, axis=1) evaluates, unwrapped
+        rates = eval_array(self._rho1, np.sqrt(np.add.reduce(rows * rows, axis=1)))
+        return self._lengths * rates[self._keep]
 
-    def _jump_part(self, padded: np.ndarray) -> np.ndarray:
-        if not self._taus.size:
-            return np.zeros(1)
-        mags = eval_array(self._rho2, _row_norms(padded)[self._jump_row])
-        return np.concatenate(([0.0], np.cumsum(mags)))
+    def _jump_mags(self, padded: np.ndarray) -> np.ndarray:
+        return eval_array(self._rho2, _row_norms(padded)[self._jump_row])
 
     def scaled_total(self, c: float) -> float:
         """Energy over (t0, horizon] of the same input with its signal
         scaled by c; bit for bit `at(horizon)` of a profile built from
-        the scaled signal."""
-        flow = self._flow_cum(c * self._rows)[-1]
-        return float(flow + self._jump_part(c * self._padded)[-1])
+        the scaled signal.
+
+        Only the window total is formed: the flow terms and the jump
+        magnitudes are each added in a running sum from 0.0, the order
+        of the cumulative sums a built profile keeps, and the two sums
+        then added.  (Python's `sum` compensates from 3.12 on, so it is
+        not used.)
+        """
+        flow = 0.0
+        for term in self._flow_terms(c * self._rows).tolist():
+            flow += term
+        jump = 0.0
+        if self._taus.size:
+            for mag in self._jump_mags(c * self._padded).tolist():
+                jump += mag
+        return flow + jump
 
     def flow_part(self, t):
         return np.interp(t, self._knots, self._cum)

@@ -159,13 +159,16 @@ def _step_grid(
 ):
     """The grid of a run: its segment table (a, b, nsub, h), its sample
     times, and the set of its jump times, those in (t0, horizon].  Raises
-    InvalidInterval when horizon < t0 or step is not positive.
+    InvalidInterval when t0 is not finite, horizon < t0 or step is not
+    positive.
 
     The windows between t0, each event in (t0, horizon) once, and horizon
     (none when horizon == t0) are each cut into the fewest nsub equal
     steps h no longer than `step`.  The times are t0, then a + j*h for
     step j = 1..nsub-1 of each window and exactly b for its last step.
     """
+    if not math.isfinite(t0):
+        raise InvalidInterval(f"start {t0} is not finite")
     if horizon < t0:
         raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
     if not step > 0:
@@ -327,7 +330,9 @@ def simulate(
     arithmetic error raised by a map (OverflowError, ZeroDivisionError,
     ValueError such as a math domain error), raises NonFiniteState when
     strict, chained from the error it caused; otherwise the run stops
-    with status "step-failure" at the last finite sample.
+    with status "step-failure" at the last finite sample.  A NaN or
+    infinite x0 raises NonFiniteState at t0 before any step, strict or
+    not: there is no finite sample to stop at.
     """
     a, b, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
     x = [float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))]
@@ -335,6 +340,8 @@ def simulate(
         raise InvalidSystem(
             f"x0 has dimension {len(x)}, system expects {system.dim_x}"
         )
+    if not all(math.isfinite(v) for v in x):
+        raise NonFiniteState(f"initial state is not finite at t={t0:.6g}")
     if w.u.dim != system.dim_u:
         raise InvalidSystem(
             f"input has dimension {w.u.dim}, system expects {system.dim_u}"

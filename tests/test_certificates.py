@@ -1,5 +1,6 @@
 """Certificate checks, falsification search, limit conditions, settling."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import impstab
 from impstab.certificates import (
@@ -199,6 +202,24 @@ class TestGuasCheck:
         traj = simulate(sys1, 0.0, [1.0], hybrid(constant_signal(1.0)), 1.0, 1e-2)
         with pytest.raises(NonZeroInput):
             check_guas(decaying_guas_certificate(), traj)
+
+    def test_supplied_input_must_match_the_trajectory(self):
+        """A decay check judges the jumps that drove the trajectory: a
+        different input is refused, not scanned as if it had happened."""
+        sys1 = get_example("lin-contract")
+        w = hybrid(zero_signal(), 0.5, 1.0)
+        traj = simulate(sys1, 0.0, [1.0], w, 2.0, 0.1)
+        cert = derive_guas_from_iiss(lin_contract_iiss_certificate())
+        assert check_guas(cert, traj).verdict == "pass"
+        assert check_guas(cert, traj, w).to_dict() == check_guas(cert, traj).to_dict()
+        assert check_certificate(cert, traj, w).verdict == "pass"
+        with pytest.raises(InconsistentInput):
+            check_guas(cert, traj, hybrid(zero_signal(), 0.3))
+        with pytest.raises(InconsistentInput):
+            check_certificate(cert, traj, hybrid(zero_signal(), 0.3))
+        driven = hybrid(constant_signal(1.0), 0.5, 1.0)
+        with pytest.raises(NonZeroInput):
+            check_guas(cert, simulate(sys1, 0.0, [1.0], driven, 2.0, 0.1), driven)
 
     def test_r0_outside_certified_range(self):
         beta = exp_decay_kl(2.0, 1.0)
@@ -595,3 +616,109 @@ class TestSettling:
         assert prof["monotone_in_eps"]
         assert len(prof["estimates"]) == 2
         assert not prof["saturated"][0][0]
+
+    def test_profile_rejects_bad_thresholds_before_simulating(self):
+        calls = []
+
+        def flow(t, x, u):
+            calls.append(t)
+            return (-x[0],)
+
+        counted = ImpulsiveSystem("counted", 1, 1, flow, lambda t, x, u: (0.0,))
+        for r_grid, eps_grid in (((1.0, 0.0), (0.5,)), ((1.0,), (0.5, -0.1))):
+            with pytest.raises(OutOfRange):
+                settling_time_profile(
+                    counted, empty_family(), identity(), r_grid, eps_grid, budget=2
+                )
+        assert calls == []
+
+
+SETTLING_CONFIGS = [
+    SettlingConfig(horizon=3.0),
+    SettlingConfig(gain=(identity(), identity()), zero_input=False, t0_max=1.0, horizon=3.0),
+]
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    st.sampled_from([empty_family(), periodic_family(0.5)]),
+    st.sampled_from(SETTLING_CONFIGS),
+    st.integers(1, 3),
+    st.integers(0, 1000),
+)
+def test_profile_cells_are_single_estimates(r_grid, eps_grid, family, config, budget, seed):
+    """Every profile cell is `estimate_settling_time` of its (r, eps),
+    bit for bit, though a profile row simulates its trials once."""
+    sys1 = make_linear_system(-1.0, 0.5)
+    prof = settling_time_profile(
+        sys1, family, identity(), r_grid, eps_grid, config, budget, seed
+    )
+    for i, r in enumerate(r_grid):
+        for j, eps in enumerate(eps_grid):
+            est = estimate_settling_time(sys1, family, identity(), r, eps, config, budget, seed)
+            assert prof["estimates"][i][j] == est.value
+            assert prof["saturated"][i][j] == est.saturated
+
+
+def limit_report_digest() -> str:
+    """sha256 over the reports of eps-delta runs (zero and random input,
+    budgets 1-3, empty and periodic jumps, a 1-d and a 2-d system with
+    linear and nonlinear gains), 3x3 settling profiles and single
+    settling estimates."""
+    h = hashlib.sha256()
+
+    def put(obj):
+        h.update(json.dumps(obj, sort_keys=True).encode())
+
+    planar = system_from_config(
+        {
+            "name": "planar",
+            "dim_x": 2,
+            "dim_u": 2,
+            "flow": ["u1 - x1 + 0.5*x2", "u2 - x2"],
+            "jump": ["-0.5*x1", "0.3*x1 - 0.6*x2"],
+        }
+    )
+    systems = (
+        (get_example("lin-contract"), (identity(), identity())),
+        (planar, (saturating(2.0), power(2.0))),
+    )
+    cfg = EpsDeltaConfig(alpha_tilde=identity(), T_grid=(2.0, 6.0), horizon=6.0)
+    for system, gain in systems:
+        for family in (empty_family(), periodic_family(0.5)):
+            for zero_input in (False, True):
+                for budget in (1, 2, 3):
+                    reps = check_eps_delta_conditions(
+                        system, gain, family, replace(cfg, zero_input=zero_input),
+                        budget=budget, seed=budget,
+                    )
+                    put([r.to_dict() for r in reps])
+    linear = make_linear_system(-1.0, 1.0)
+    configs = (
+        SettlingConfig(horizon=6.0),
+        SettlingConfig(gain=(identity(), identity()), zero_input=False, t0_max=1.0, horizon=6.0),
+    )
+    for family in (empty_family(), periodic_family(0.5)):
+        for config in configs:
+            put(
+                settling_time_profile(
+                    linear, family, identity(), (0.5, 2.0, 10.0), (0.1, 0.5, 1.0),
+                    config, budget=3, seed=5,
+                )
+            )
+            e = estimate_settling_time(
+                linear, family, identity(), 10.0, 0.1, config, budget=3, seed=5
+            )
+            put([e.value, e.saturated, e.trials, e.max_strong_time])
+    return h.hexdigest()
+
+
+def test_pinned_limit_report_digest():
+    """Every bit of the limit-condition and settling reports is as it was
+    when settling simulated each (r, eps) cell on its own and the energy
+    cap priced each bisection step from two cumulative sums."""
+    assert limit_report_digest() == (
+        "b1a515325b740a4c8b3735ba9d665b933ec5de964fa3d1ec1d7d99ad44b02126"
+    )

@@ -56,6 +56,12 @@ class TestBound:
         for t, v in zip(ts, vec):
             assert v == pytest.approx(gronwall_bound(d, float(t)), rel=1e-14)
 
+    def test_nonfinite_start_rejected(self):
+        """The profile shares the simulator's step grid, which rejects a
+        start that is not finite."""
+        with pytest.raises(InvalidInterval, match="not finite"):
+            growth_profile(data(t0=math.nan), 1.0)
+
     def test_bad_data_rejected(self):
         with pytest.raises(InvalidInterval):
             gronwall_bound(data(), -1.0)

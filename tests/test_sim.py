@@ -193,6 +193,33 @@ class TestFailureModes:
         with pytest.raises(InvalidInterval):
             closed_form_linear_impulsive(-1.0, 0.5, 0.0, [1.0], w, 1.0, math.nan)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_rejected(self, t0):
+        """A NaN start once returned a one-sample `complete-to-horizon`
+        run; every grid built from it is rejected now."""
+        sys1 = make_linear_system(-1.0, 0.5)
+        w = hybrid(zero_signal(), 0.5)
+        with pytest.raises(InvalidInterval, match="not finite"):
+            simulate(sys1, t0, [1.0], w, 2.0, 0.1)
+        with pytest.raises(InvalidInterval, match="not finite"):
+            closed_form_linear_impulsive(-1.0, 0.5, t0, [1.0], w, 2.0, 0.1)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_initial_state_named_at_start(self, x0, strict):
+        """A non-finite x0 is named at t0, before any step, not blamed on
+        the first step as a state that became non-finite."""
+        calls = []
+
+        def flow(t, x, u):
+            calls.append(t)
+            return (-x[0],)
+
+        sys1 = ImpulsiveSystem("counted", 1, 1, flow, lambda t, x, u: (0.0,))
+        with pytest.raises(NonFiniteState, match="initial state is not finite at t=0.25$"):
+            simulate(sys1, 0.25, [x0], hybrid(zero_signal(), 0.5), 2.0, 0.1, strict=strict)
+        assert calls == []
+
     def test_dimension_mismatch_rejected(self):
         sys1 = make_linear_system(-1.0, 0.5)
         with pytest.raises(InvalidSystem):
