@@ -115,7 +115,6 @@ from .library import (
 )
 from .scenarios import load_scenario, run_scenario
 from .sim import (
-    JumpRecord,
     Trajectory,
     closed_form_linear_impulsive,
     integral_residual,

@@ -42,7 +42,7 @@ from .errors import (
     OutOfRange,
 )
 from .impulses import ImpulseFamily, ImpulseSequence, count_jumps_at
-from .inputs import EnergyProfile, HybridInput, InputSignal, zero_signal
+from .inputs import EnergyProfile, HybridInput, InputSignal, _row_norms, zero_signal
 from .sim import DIVERGENCE_RADIUS, STATUS_COMPLETE, Trajectory, simulate
 from .systems import ImpulsiveSystem
 
@@ -189,17 +189,13 @@ def _check_points(traj: Trajectory, sigma: ImpulseSequence, mode: str):
     counts = count_jumps_at(taus, traj.t0, ts)
     elapsed = ts - traj.t0
     sargs = elapsed + counts if mode == "strong" else elapsed
-    side = np.ones(len(ts), dtype=int)
-    if traj.jumps:
-        jt = np.array([rec.time for rec in traj.jumps])
-        jn = np.array([float(np.linalg.norm(rec.x_pre)) for rec in traj.jumps])
-        jel = jt - traj.t0
-        jc = count_jumps_at(taus, traj.t0, jt) - 1  # jump at jt not yet counted
-        jargs = jel + jc if mode == "strong" else jel
-        ts = np.concatenate((ts, jt))
-        norms = np.concatenate((norms, jn))
-        sargs = np.concatenate((sargs, jargs))
-        side = np.concatenate((side, np.zeros(len(jt), dtype=int)))
+    jt = traj.jumps
+    jel = jt - traj.t0
+    jc = count_jumps_at(taus, traj.t0, jt) - 1  # jump at jt not yet counted
+    ts = np.concatenate((ts, jt))
+    norms = np.concatenate((norms, _row_norms(traj.x_pre)))
+    sargs = np.concatenate((sargs, jel + jc if mode == "strong" else jel))
+    side = np.concatenate((np.ones(len(traj.times), dtype=int), np.zeros(len(jt), dtype=int)))
     order = np.lexsort((side, ts))
     return ts[order], norms[order], sargs[order], side[order]
 
@@ -1048,7 +1044,7 @@ def settling_time_profile(
     scans = _settling_scans(system, family, alpha, r_grid, eps_grid, config, budget, seed)
     est = [[s.threshold for s in row] for row in scans]
     sat = [[s.saturated for s in row] for row in scans]
-    arr = np.asarray(est)
+    arr = np.asarray(est, dtype=float).reshape(len(r_grid), len(eps_grid))
     band = 2.0 * config.step + 1e-9
     mono_r = bool(np.all(np.diff(arr, axis=0) >= -band)) if arr.shape[0] > 1 else True
     mono_eps = bool(np.all(np.diff(arr, axis=1) <= band)) if arr.shape[1] > 1 else True

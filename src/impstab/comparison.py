@@ -195,12 +195,7 @@ def eval_kl_array(beta: KLFn, r: float, s: np.ndarray) -> np.ndarray:
     return _eval_elementwise(lambda v: beta.evaluator(r, v), s)
 
 
-def invert(
-    f: ComparisonFn,
-    y: float,
-    tol: float | None = None,
-    max_iter: int = INVERT_MAX_ITER,
-) -> float:
+def invert(f: ComparisonFn, y: float) -> float:
     """Solve f(r) = y for r in [0, domain_hint].
 
     The result satisfies |f(r) - y| <= 1e-10 * (1 + y).  After the range
@@ -213,8 +208,7 @@ def invert(
     y = float(y)
     if not math.isfinite(y) or y < 0:
         raise OutOfRange(f"cannot invert at y={y!r}")
-    if tol is None:
-        tol = INVERT_TOL * (1.0 + y)
+    tol = INVERT_TOL * (1.0 + y)
     lo, hi = 0.0, float(f.domain_hint)
     flo = float(f.evaluator(lo))
     fhi = float(f.evaluator(hi))
@@ -239,7 +233,7 @@ def invert(
     # residual tolerance: near-exact roots keep inverse-backed
     # evaluators monotone at the resolution the class probes use
     slack = 1e-12 * (1.0 + abs(fhi))
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = float(f.evaluator(mid))
         if fmid < flo - slack or fmid > fhi + slack:

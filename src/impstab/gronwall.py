@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HypothesisFailed, InvalidInterval
 from .impulses import ImpulseSequence, count_jumps, count_jumps_at
-from .sim import STATUS_COMPLETE, JumpRecord, Trajectory, _step_grid
+from .sim import STATUS_COMPLETE, Trajectory, _step_grid
 
 
 @dataclass(frozen=True)
@@ -66,21 +66,22 @@ def growth_profile(
     """
     lo, hi, nsub, _, times, jump_set = _step_grid(data.t0, horizon, step, data.sigma, np.empty(0))
     vals = [data.p]
-    records: list[JumpRecord] = []
+    jumped, pre = [], []
     y = data.p
     for lo_k, hi_k, end in zip(lo.tolist(), hi.tolist(), np.cumsum(nsub).tolist()):
         seg_times = times[len(vals) : end + 1].tolist()
         vals.extend(y * math.exp(data.q1 * (t - lo_k)) for t in seg_times)
         y = vals[-1]
         if hi_k in jump_set:
-            y_post = (1.0 + data.q2) * y
-            records.append(JumpRecord(hi_k, np.array([y]), np.array([y_post])))
-            y = vals[-1] = y_post
+            jumped.append(hi_k)
+            pre.append(y)
+            y = vals[-1] = (1.0 + data.q2) * y
     return Trajectory(
         t0=data.t0,
         times=times,
         states=np.asarray(vals)[:, None],
-        jumps=tuple(records),
+        jumps=np.array(jumped, dtype=float),
+        x_pre=np.array(pre, dtype=float)[:, None],
         status=STATUS_COMPLETE,
         step=float(step),
     )
@@ -139,7 +140,7 @@ def verify_gronwall(
         raise InvalidInterval("trajectory and data start at different times")
     ts = traj.times
     ys = traj.states[:, 0]
-    pre = {rec.time: float(rec.x_pre[0]) for rec in traj.jumps}
+    pre = dict(zip(traj.jumps.tolist(), traj.x_pre[:, 0].tolist()))
     if tol is None:
         tol = 1e-6 * (1.0 + abs(data.p) + float(np.max(np.abs(ys))))
 

@@ -2,11 +2,12 @@
 
 Solutions are right-continuous: integrate the flow between jump times,
 then apply the jump map at each time in the sequence, recording the
-pre- and post-jump states.  Segment boundaries land exactly on every
-jump time and input breakpoint, so the integrator never steps across a
-discontinuity; within a segment the input is constant.  A jump exactly
-at the start time is not applied (windows are open on the left), one
-exactly at the horizon is.
+pre-jump state; the sample at a jump time is the post-jump state.
+Segment boundaries land exactly on every jump time and input
+breakpoint, so the integrator never steps across a discontinuity;
+within a segment the input is constant.  A jump exactly at the start
+time is not applied (windows are open on the left), one exactly at the
+horizon is.
 
 Each segment is stepped by one call of a classical RK4 kernel generated
 per state dimension with its components unrolled into locals; a step
@@ -26,7 +27,6 @@ of the state dimension raises InvalidSystem.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,19 +45,13 @@ DIVERGENCE_RADIUS = 1e12
 _DIVERGE_SQ = DIVERGENCE_RADIUS**2
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    time: float
-    x_pre: np.ndarray
-    x_post: np.ndarray
-
-
 @dataclass
 class Trajectory:
     t0: float
     times: np.ndarray  # (k,)
     states: np.ndarray  # (k, n), right-continuous values
-    jumps: tuple[JumpRecord, ...]
+    jumps: np.ndarray  # (j,) applied jump times; each has a post-jump sample
+    x_pre: np.ndarray  # (j, n) the state just before each jump
     status: str
     step: float
     input_used: HybridInput | None = None
@@ -78,7 +72,7 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
     def pre_states(self) -> dict[float, np.ndarray]:
-        return {rec.time: rec.x_pre for rec in self.jumps}
+        return dict(zip(self.jumps.tolist(), self.x_pre))
 
     def to_csv(self, path) -> None:
         """One row per sample; jump times get a pre row then a post row."""
@@ -93,65 +87,6 @@ class Trajectory:
                     writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [1])
                 else:
                     writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [0])
-
-    @classmethod
-    def from_csv(cls, path, t0: float | None = None, step: float = 0.0) -> "Trajectory":
-        times: list[float] = []
-        states: list[list[float]] = []
-        jumps: list[JumpRecord] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header) - 2
-            pending_pre: tuple[float, list[float]] | None = None
-            for row in reader:
-                t = float(row[0])
-                x = [float(v) for v in row[1 : 1 + dim]]
-                post = int(row[-1])
-                if post:
-                    if pending_pre is None or pending_pre[0] != t:
-                        raise ValueError("post-jump row without matching pre row")
-                    jumps.append(
-                        JumpRecord(t, np.asarray(pending_pre[1]), np.asarray(x))
-                    )
-                    times.append(t)
-                    states.append(x)
-                    pending_pre = None
-                else:
-                    if pending_pre is not None:
-                        times.append(pending_pre[0])
-                        states.append(pending_pre[1])
-                    pending_pre = (t, x)
-            if pending_pre is not None:
-                times.append(pending_pre[0])
-                states.append(pending_pre[1])
-        return cls(
-            t0=float(times[0]) if t0 is None else float(t0),
-            times=np.asarray(times),
-            states=np.asarray(states),
-            jumps=tuple(jumps),
-            status=STATUS_COMPLETE,
-            step=step,
-        )
-
-    def to_json(self, path) -> None:
-        payload = {
-            "t0": self.t0,
-            "step": self.step,
-            "status": self.status,
-            "times": [float(t) for t in self.times],
-            "states": [[float(v) for v in row] for row in self.states],
-            "jumps": [
-                {
-                    "time": rec.time,
-                    "x_pre": [float(v) for v in rec.x_pre],
-                    "x_post": [float(v) for v in rec.x_post],
-                }
-                for rec in self.jumps
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _step_grid(
@@ -353,7 +288,7 @@ def simulate(
     f = system.flow
     g = system.jump
     cols = [[v] for v in x]
-    jumped, pre, post = [], [], []
+    jumped, pre = [], []
     status = STATUS_COMPLETE
     # a step that failed left no sample; its time is the next on the grid
     failed_next = False
@@ -379,7 +314,6 @@ def simulate(
                     break
                 jumped.append(bk)
                 pre.append(x)
-                post.append(x_post)
                 for c, v in zip(cols, x_post):
                     c[-1] = v
                 if outside:
@@ -412,9 +346,8 @@ def simulate(
         t0=float(t0),
         times=times[:kept],
         states=np.ascontiguousarray(np.array(cols, dtype=float).T),
-        jumps=tuple(
-            map(JumpRecord, jumped, np.array(pre, dtype=float), np.array(post, dtype=float))
-        ),
+        jumps=np.array(jumped, dtype=float),
+        x_pre=np.array(pre, dtype=float).reshape(-1, system.dim_x),
         status=status,
         step=float(step),
         input_used=w,
@@ -441,7 +374,6 @@ def integral_residual(
     k = len(ts)
     pre = traj.pre_states()
     f = system.flow
-    jump_incr = {rec.time: rec.x_post - rec.x_pre for rec in traj.jumps}
 
     cum = np.zeros(traj.dim)
     jsum = np.zeros(traj.dim)
@@ -459,10 +391,10 @@ def integral_residual(
         xm = 0.5 * (xL + xR) + (hseg / 8.0) * (fL - fR)
         fm = np.asarray(f(tL + 0.5 * hseg, xm.tolist(), useg), dtype=float)
         cum = cum + (hseg / 6.0) * (fL + 4.0 * fm + fR)
-        if tR in jump_incr:
+        if tR in pre:
             defect_pre = np.linalg.norm(xR - (x0 + cum + jsum))
             worst = max(worst, float(defect_pre))
-            jsum = jsum + jump_incr[tR]
+            jsum = jsum + (xs[i + 1] - xR)
         defect = np.linalg.norm(xs[i + 1] - (x0 + cum + jsum))
         worst = max(worst, float(defect))
     return worst
@@ -481,7 +413,8 @@ def closed_form_linear_impulsive(
 
     Variation of constants per constant-input segment, jump factor at
     each jump time; sampled on the very same grid `simulate` uses so the
-    two trajectories compare sample-by-sample.
+    two trajectories compare sample-by-sample.  A NaN or infinite x0
+    raises NonFiniteState, as in `simulate`.
     """
     lo, hi, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
     if w.u.dim != 1:
@@ -491,8 +424,10 @@ def closed_form_linear_impulsive(
         raise InvalidSystem("closed form is for scalar state")
 
     x = float(x_arr[0])
+    if not math.isfinite(x):
+        raise NonFiniteState(f"initial state is not finite at t={t0:.6g}")
     vals = [x]
-    records: list[JumpRecord] = []
+    jumped, pre = [], []
     for lo_k, hi_k, n_k, h_k, u0 in zip(
         lo.tolist(), hi.tolist(), nsub.tolist(), h.tolist(), w.u.value_at(lo)[:, 0].tolist()
     ):
@@ -506,13 +441,15 @@ def closed_form_linear_impulsive(
         vals.extend(seg_vals.tolist())
         x = vals[-1]
         if hi_k in jump_set:
-            records.append(JumpRecord(hi_k, np.array([x]), np.array([jump_factor * x])))
+            jumped.append(hi_k)
+            pre.append(x)
             x = vals[-1] = jump_factor * x
     return Trajectory(
         t0=float(t0),
         times=times,
         states=np.asarray(vals)[:, None],
-        jumps=tuple(records),
+        jumps=np.array(jumped, dtype=float),
+        x_pre=np.array(pre, dtype=float)[:, None],
         status=STATUS_COMPLETE,
         step=float(step),
         input_used=w,

@@ -159,9 +159,8 @@ class TestCheckPoints:
         assert len(at_tau) == 2
         i, j = at_tau
         assert side[i] == 0 and side[j] == 1
-        rec = traj.jumps[0]
-        assert norms[i] == pytest.approx(abs(rec.x_pre[0]))
-        assert norms[j] == pytest.approx(abs(rec.x_post[0]))
+        assert norms[i] == pytest.approx(abs(traj.x_pre[0, 0]))
+        assert norms[j] == pytest.approx(abs(traj.states[np.searchsorted(traj.times, 1.0), 0]))
         # strong time: the jump itself is not yet counted on the pre side
         assert sargs[j] - sargs[i] == pytest.approx(1.0)
 
@@ -295,6 +294,7 @@ class TestIissAndUbebs:
             times=traj.times,
             states=traj.states,
             jumps=traj.jumps,
+            x_pre=traj.x_pre,
             status=traj.status,
             step=traj.step,
         )
@@ -631,6 +631,20 @@ class TestSettling:
                     counted, empty_family(), identity(), r_grid, eps_grid, budget=2
                 )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "r_grid, eps_grid, estimates",
+        [((), (0.1,), []), ((1.0, 2.0), (), [[], []]), ((), (), [])],
+        ids=["empty-r", "empty-eps", "both-empty"],
+    )
+    def test_profile_of_empty_grid_is_empty(self, r_grid, eps_grid, estimates):
+        """An empty r_grid once raised IndexError; either empty grid
+        gives an empty profile, flagged monotone."""
+        prof = settling_time_profile(
+            make_linear_system(-1.0, 1.0), empty_family(), identity(), r_grid, eps_grid, budget=2
+        )
+        assert prof["estimates"] == prof["saturated"] == estimates
+        assert prof["monotone_in_r"] and prof["monotone_in_eps"]
 
 
 SETTLING_CONFIGS = [

@@ -83,12 +83,13 @@ class TestGrowthProfile:
         traj = growth_profile(d, 4.0, step=1e-2)
         expect = gronwall_bound_at(d, traj.times)
         assert np.allclose(traj.states[:, 0], expect, rtol=1e-12, atol=0.0)
-        # pre-jump records carry the bound with one jump fewer
-        for rec in traj.jumps:
-            n_pre = {0.7: 0, 1.4: 1, 2.9: 2}[rec.time]
-            want = d.p * (1.0 + d.q2) ** n_pre * math.exp(d.q1 * (rec.time - d.t0))
-            assert float(rec.x_pre[0]) == pytest.approx(want, rel=1e-12)
-            assert float(rec.x_post[0]) == pytest.approx((1.0 + d.q2) * want, rel=1e-12)
+        # pre-jump states carry the bound with one jump fewer
+        assert traj.jumps.tolist() == [0.7, 1.4, 2.9]
+        x_post = traj.states[np.searchsorted(traj.times, traj.jumps), 0]
+        for n_pre, (tau, x_pre) in enumerate(zip(traj.jumps, traj.x_pre[:, 0])):
+            want = d.p * (1.0 + d.q2) ** n_pre * math.exp(d.q1 * (tau - d.t0))
+            assert x_pre == pytest.approx(want, rel=1e-12)
+            assert x_post[n_pre] == pytest.approx((1.0 + d.q2) * want, rel=1e-12)
 
     def test_extremal_profile_verifies(self):
         d = data(p=1.0, q1=1.0, q2=2.0, sigma=seq(1.0, 2.0))
@@ -149,6 +150,7 @@ class TestVerifier:
             times=traj.times,
             states=ys,
             jumps=traj.jumps,
+            x_pre=traj.x_pre,
             status=traj.status,
             step=traj.step,
         )
@@ -163,7 +165,8 @@ class TestVerifier:
             t0=traj.t0,
             times=traj.times,
             states=np.hstack([traj.states, traj.states]),
-            jumps=(),
+            jumps=np.empty(0),
+            x_pre=np.empty((0, 2)),
             status=traj.status,
             step=traj.step,
         )
