@@ -376,9 +376,10 @@ def derive_ubebs_from_iiss(cert: IissCertificate) -> UbebsCertificate:
 def derive_strong_from_weak(cert: GuasCertificate, phi) -> GuasCertificate:
     """Lift an elapsed-time bound to strong time with a count envelope.
 
-    A ``phi`` that takes numpy arrays (``math.ceil``, ``math.floor`` and
-    the stock families' ``uib_phi`` do) makes the lifted check one
-    masked bisection over all check points; see ``lift_weak_beta``.
+    The lifted check is one masked bisection over all check points; a
+    ``phi`` that takes numpy arrays (``math.ceil``, ``math.floor`` and
+    the stock families' ``uib_phi`` do) is asked once per step, any
+    other once per point and step; see ``lift_weak_beta``.
     """
     if cert.mode != "weak":
         raise ClassViolation("lifting applies to weak-mode certificates")
@@ -479,6 +480,15 @@ def _pulses_at_jumps(
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial + 1
+
+
+def _path_seed(path: list[int]) -> int:
+    """One seed per seed path: the entries plus one as base-1_000_003
+    digits, so paths of entries below 1_000_002 never share a seed."""
+    out = 0
+    for entry in path:
+        out = _trial_seed(out, entry)
+    return out
 
 
 _HALTON_BASES = (2, 3, 5, 7)
@@ -684,7 +694,6 @@ class EpsDeltaConfig:
     step: float = 1e-2
     delta_init: float = 1.0
     delta_levels: int = 16
-    zero_input: bool = False
 
 
 def _scaled_to_energy(
@@ -709,6 +718,9 @@ def _scaled_to_energy(
     base = profile.scaled_total(1.0)
     if base <= target:
         return sig, base
+    # a scalar loop, not comparison._bisect: for one bracket, numpy's call
+    # overhead makes 40 masked steps cost about 250 us against about 3 us
+    # here (pricing aside), and this runs once per sampled input
     lo, hi, lo_total = 0.0, 1.0, None
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -783,9 +795,10 @@ def _gain_violation_scan(
     Every eps is judged on the same trials: each trial is drawn,
     simulated and its gauge values taken once, then each eps's threshold
     is applied in turn, so a result is the one a scan of that eps alone
-    gives.  A gain of None drives every trial with zero input.
-    Saturation means some trial's violations persist into the edge of
-    its observable strong-time window, i.e. no settling was seen.
+    gives.  Trial k draws its start, state, input and jump times from
+    ``seed_path + [k]``.  A gain of None drives every trial with zero
+    input.  Saturation means some trial's violations persist into the
+    edge of its observable strong-time window, i.e. no settling was seen.
     """
     if not eps_grid:
         return []
@@ -796,7 +809,7 @@ def _gain_violation_scan(
         rng = np.random.default_rng(seed_path + [k])
         t0 = float(rng.uniform(0.0, t0_max)) if t0_max > 0 else 0.0
         norms, sargs, wnorm = _limit_trial(
-            system, family, rng, k, t0, r, _trial_seed(seed_path[-1], k),
+            system, family, rng, k, t0, r, _path_seed(seed_path + [k]),
             horizon, step, gain, math.inf,
         )
         lhs = _gauge_values(alpha, norms)
@@ -816,7 +829,7 @@ def _gain_violation_scan(
 
 def check_eps_delta_conditions(
     system: ImpulsiveSystem,
-    gain: tuple[ComparisonFn, ComparisonFn],
+    gain: tuple[ComparisonFn, ComparisonFn] | None,
     family: ImpulseFamily,
     config: EpsDeltaConfig,
     budget: int = 32,
@@ -832,11 +845,12 @@ def check_eps_delta_conditions(
     time where alpha_tilde(|x|) still exceeded eps + energy; saturation
     of that threshold at the observable window is reported as violated.
 
-    ``budget`` is the number of trials per grid cell (per level for
-    item ii).  Passing is sampling evidence; violations carry data.
+    ``gain`` prices the sampled inputs' energy; None drives every trial
+    with zero input.  ``budget`` is the number of trials per grid cell
+    (per level for item ii).  Passing is sampling evidence; violations
+    carry data.
     """
     cfg = config
-    input_gain = None if cfg.zero_input else gain
 
     # item i: uniform bound over strong-time sublevels
     c_grid = {}
@@ -853,7 +867,7 @@ def check_eps_delta_conditions(
                     t0 = float(rng.uniform(0.0, cfg.t0_max))
                     norms, sargs, _ = _limit_trial(
                         system, family, rng, k, t0, r, _trial_seed(seed, 101 * cell + k),
-                        cfg.horizon, cfg.step, input_gain, s,
+                        cfg.horizon, cfg.step, gain, s,
                     )
                     mask = sargs <= T + 1e-12
                     if np.any(mask):
@@ -888,7 +902,7 @@ def check_eps_delta_conditions(
                 norms, _, _ = _limit_trial(
                     system, family, rng, k, t0, delta,
                     _trial_seed(seed, 7919 * e_idx + 131 * level + k),
-                    cfg.horizon, cfg.step, input_gain, delta,
+                    cfg.horizon, cfg.step, gain, delta,
                 )
                 trials_ii += 1
                 if norms.size and float(np.max(norms)) > eps:
@@ -922,7 +936,7 @@ def check_eps_delta_conditions(
                 system,
                 family,
                 cfg.alpha_tilde,
-                input_gain,
+                gain,
                 r,
                 (eps,),
                 cfg.t0_max,
@@ -951,8 +965,9 @@ def check_eps_delta_conditions(
 
 @dataclass(frozen=True)
 class SettlingConfig:
+    """Trial set-up for settling estimates; a gain of None means zero input."""
+
     gain: tuple[ComparisonFn, ComparisonFn] | None = None
-    zero_input: bool = True
     t0_max: float = 0.0
     horizon: float = 12.0
     step: float = 1e-2
@@ -984,11 +999,10 @@ def _settling_scans(
     anything is simulated."""
     if any(r <= 0 for r in r_grid) or any(eps <= 0 for eps in eps_grid):
         raise OutOfRange("need r > 0 and eps > 0")
-    gain = None if config.zero_input else config.gain
     eps_grid = [float(eps) for eps in eps_grid]
     return [
         _gain_violation_scan(
-            system, family, alpha, gain, float(r), eps_grid,
+            system, family, alpha, config.gain, float(r), eps_grid,
             config.t0_max, config.horizon, config.step, budget, [seed, 44],
         )
         for r in r_grid

@@ -152,12 +152,9 @@ def _cmd_eps_delta(args) -> int:
     alpha = (
         comparison_from_config(_load_json_arg(args.alpha)) if args.alpha else identity()
     )
-    cfg = EpsDeltaConfig(
-        alpha_tilde=alpha,
-        horizon=args.horizon,
-        step=args.step,
-        zero_input=args.zero_input,
-    )
+    cfg = EpsDeltaConfig(alpha_tilde=alpha, horizon=args.horizon, step=args.step)
+    if args.zero_input:
+        gain = None
     reports = check_eps_delta_conditions(system, gain, family, cfg, args.budget, args.seed)
     worst = 0
     for rep in reports:

@@ -7,6 +7,8 @@ so that failures are conclusive while passes are evidence.  A function
 may carry a closed-form inverse (the stock families do); inversion uses
 it where its result passes the residual guard and bisects otherwise,
 so no function needs one and a wrong one costs speed, not correctness.
+Inversion and the weak-to-strong lift share one masked bisection,
+`_bisect`, over arrays of targets; a scalar is an array of one.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class ComparisonFn:
 
     ``evaluator`` should accept a float; accepting numpy arrays as well
     makes the vectorized check paths cheaper but is not required.
-    ``inverse``, when set, is a closed-form inverse taking a float or an
-    array; `invert` and `invert_array` try it before bisecting.
+    ``inverse``, when set, is a closed-form inverse taking an array or,
+    failing that, a float; `invert_array` tries it before bisecting.
     """
 
     evaluator: Callable
@@ -195,109 +197,127 @@ def eval_kl_array(beta: KLFn, r: float, s: np.ndarray) -> np.ndarray:
     return _eval_elementwise(lambda v: beta.evaluator(r, v), s)
 
 
-def invert(f: ComparisonFn, y: float) -> float:
-    """Solve f(r) = y for r in [0, domain_hint].
+def _bisect(up, lo, hi, closed, *carry, together=False):
+    """Bisect the brackets [lo, hi] elementwise until ``closed(lo, hi)``.
 
-    The result satisfies |f(r) - y| <= 1e-10 * (1 + y).  After the range
-    checks, f's closed-form inverse (clipped to the bracket) is returned
-    when it meets that residual; otherwise, or without one, the root is
-    found by bisection.  Raises OutOfRange when y is negative or above
-    f(domain_hint), and NotMonotone when the evaluator contradicts the
-    bracketing order.
+    ``up(mid, *carry)`` is True where mid lies at or above the root, so
+    hi moves to mid, and False where lo does.  ``carry`` holds arrays
+    aligned with the brackets (targets, say); they are compacted with the
+    open brackets and handed to ``up``, which may update them in place.
+    Each bracket leaves as soon as it closes, or with ``together`` all
+    run until every one has closed.  Returns the final lower ends, and
+    with ``together`` the final upper ends too (None otherwise): brackets
+    that leave one by one keep only their lower ends, all the lift reads.
     """
-    y = float(y)
-    if not math.isfinite(y) or y < 0:
-        raise OutOfRange(f"cannot invert at y={y!r}")
-    tol = INVERT_TOL * (1.0 + y)
-    lo, hi = 0.0, float(f.domain_hint)
-    flo = float(f.evaluator(lo))
-    fhi = float(f.evaluator(hi))
+    out = lo.copy()
+    live = np.arange(lo.size)
+    for _ in range(INVERT_MAX_ITER):
+        shut = closed(lo, hi)
+        if together:
+            if shut.all():
+                break
+        elif shut.any():
+            out[live[shut]] = lo[shut]
+            keep = ~shut
+            live, lo, hi = live[keep], lo[keep], hi[keep]
+            carry = [c[keep] for c in carry]
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        down = up(mid, *carry)
+        lo, hi = np.where(down, lo, mid), np.where(down, mid, hi)
+    out[live] = lo
+    return out, hi if together else None
+
+
+def invert(f: ComparisonFn, y: float) -> float:
+    """Solve f(r) = y for r in [0, domain_hint]: `invert_array` of one
+    target.
+
+    The result satisfies |f(r) - y| <= 1e-10 * (1 + y).  Raises
+    OutOfRange when y is negative or above f(domain_hint), and
+    NotMonotone when the evaluator contradicts the bracketing order.
+    """
+    return float(invert_array(f, float(y)))
+
+
+def invert_array(f: ComparisonFn, y) -> np.ndarray:
+    """Solve f(r) = y elementwise for r in [0, domain_hint].
+
+    After the range checks, targets at or below f(0) map to 0 and those
+    within the residual tolerance of f(domain_hint) to the domain hint.
+    The rest take f's closed-form inverse (clipped to the bracket) where
+    it meets the residual; the remaining ones are found by one masked
+    bisection, all refined until every bracket is narrow.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = np.zeros(flat.size)
+    if np.any(~np.isfinite(flat)) or np.any(flat < 0):
+        raise OutOfRange("cannot invert at negative or non-finite targets")
+    if not flat.size:
+        return out.reshape(y.shape)
+    hint = float(f.domain_hint)
+    fhi = float(f.evaluator(hint))
+    tol = INVERT_TOL * (1.0 + flat)
+    if np.any(flat > fhi + tol):
+        raise OutOfRange(
+            f"target {float(np.max(flat)):.6g} exceeds the reachable value "
+            f"{fhi:.6g} at the domain hint"
+        )
+    flo = float(f.evaluator(0.0))
     # only targets at or below f(0) map to 0: tiny positive targets are
     # resolved by bisection so inverse-backed gauges stay strictly
     # increasing near zero instead of flattening within the tolerance
-    if y <= flo:
-        return lo
-    if abs(fhi - y) <= tol:
-        return hi
-    if y > fhi:
-        raise OutOfRange(
-            f"y={y:.6g} exceeds the reachable value {fhi:.6g} at the domain hint"
-        )
-    if y < flo:
-        raise NotMonotone("value at 0 exceeds the target; not a class-K shape")
-    if f.inverse is not None:
-        r = min(max(float(f.inverse(y)), lo), hi)
-        if abs(float(f.evaluator(r)) - y) <= tol:
-            return r
-    # refine the bracket all the way down rather than stopping at the
-    # residual tolerance: near-exact roots keep inverse-backed
-    # evaluators monotone at the resolution the class probes use
+    todo = np.flatnonzero(~(flat <= flo))
+    top = np.abs(fhi - flat[todo]) <= tol[todo]
+    out[todo[top]] = hint
+    todo = todo[~top]
+    if todo.size and f.inverse is not None:
+        root = np.clip(_eval_elementwise(f.inverse, flat[todo]), 0.0, hint)
+        hit = np.abs(eval_array(f, root) - flat[todo]) <= tol[todo]  # NaN misses
+        out[todo[hit]] = root[hit]
+        todo = todo[~hit]
+    if not todo.size:
+        return out.reshape(y.shape)
     slack = 1e-12 * (1.0 + abs(fhi))
-    for _ in range(INVERT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = float(f.evaluator(mid))
-        if fmid < flo - slack or fmid > fhi + slack:
+
+    def up(mid, target, f_lo, f_hi):
+        fmid = eval_array(f, mid)
+        left = (fmid < f_lo - slack) | (fmid > f_hi + slack)
+        if left.any():
+            i = int(np.argmax(left))
             raise NotMonotone(
-                f"evaluator leaves the bracket at r={mid:.6g} (f={fmid:.6g})"
+                f"evaluator leaves the bracket at r={mid[i]:.6g} (f={fmid[i]:.6g})"
             )
-        if fmid < y:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        # purely relative width: tiny roots are resolved instead of
-        # quantized, which keeps inverse-backed gauges strictly
-        # increasing all the way down the probe grid
-        if hi - lo <= 1e-13 * hi:
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(float(f.evaluator(mid)) - y) <= tol:
-        return mid
-    raise NotMonotone(
-        f"bisection failed to reach tolerance at y={y:.6g}; "
-        "the evaluator may be discontinuous"
+        down = ~(fmid < target)
+        np.copyto(f_hi, fmid, where=down)
+        np.copyto(f_lo, fmid, where=~down)
+        return down
+
+    # refine the brackets all the way down rather than stopping at the
+    # residual tolerance: near-exact roots keep inverse-backed evaluators
+    # monotone at the resolution the class probes use; the width is
+    # purely relative, so tiny roots are resolved instead of quantized
+    target, n = flat[todo], todo.size
+    lo, hi = _bisect(
+        up,
+        np.zeros(n),
+        np.full(n, hint),
+        lambda lo, hi: hi - lo <= 1e-13 * hi,
+        target,
+        np.full(n, flo),
+        np.full(n, fhi),
+        together=True,
     )
-
-
-def invert_array(f: ComparisonFn, y: np.ndarray) -> np.ndarray:
-    """`invert` over an array: the closed-form inverse where f has one,
-    else one vectorized bisection over all targets at once.  Elements
-    that miss the residual guard are re-solved by `invert`."""
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        return np.zeros_like(y)
-    if np.any(~np.isfinite(y)) or np.any(y < 0):
-        raise OutOfRange("cannot invert at negative or non-finite targets")
-    hi0 = float(f.domain_hint)
-    fhi0 = float(f.evaluator(hi0))
-    tol = INVERT_TOL * (1.0 + y)
-    if np.any(y > fhi0 + tol):
-        worst = float(np.max(y))
-        raise OutOfRange(
-            f"target {worst:.6g} exceeds the reachable value {fhi0:.6g} "
-            "at the domain hint"
+    out[todo] = 0.5 * (lo + hi)
+    miss = ~(np.abs(eval_array(f, out[todo]) - target) <= tol[todo])
+    if miss.any():
+        raise NotMonotone(
+            f"bisection failed to reach tolerance at y={target[np.argmax(miss)]:.6g}; "
+            "the evaluator may be discontinuous"
         )
-    at_zero = y <= float(f.evaluator(0.0))
-    if f.inverse is not None:
-        root = np.clip(_eval_elementwise(f.inverse, y), 0.0, hi0)
-    else:
-        lo = np.zeros_like(y)
-        hi = np.full_like(y, hi0)
-        for _ in range(INVERT_MAX_ITER):
-            if np.all((hi - lo <= 1e-13 * hi) | at_zero):
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = eval_array(f, mid)
-            go_up = fmid < y
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        root = 0.5 * (lo + hi)
-    out = np.where(at_zero, 0.0, root)
-    residual = np.abs(eval_array(f, out) - y)
-    bad = np.flatnonzero(~(residual <= tol) & ~at_zero)  # NaN is bad too
-    for i in bad:
-        # scalar path re-derives the root or raises a precise error
-        out.flat[i] = invert(f, float(y.flat[i]))
-    return out
+    return out.reshape(y.shape)
 
 
 def compose(outer: ComparisonFn, inner: ComparisonFn, name: str = "") -> ComparisonFn:
@@ -365,7 +385,8 @@ def guas_decay_from_iiss(alpha: ComparisonFn, beta: KLFn) -> KLFn:
     def ev(r, s):
         if isinstance(s, np.ndarray):
             return invert_array(alpha, eval_kl_array(beta, float(r), s))
-        return invert(alpha, float(beta.evaluator(float(r), float(s))))
+        root = invert_array(alpha, beta.evaluator(r, float(s)))
+        return root if isinstance(r, np.ndarray) else float(root)
 
     # cap the r range so every inversion target stays reachable
     alpha_top = float(alpha.evaluator(float(alpha.domain_hint)))
@@ -422,9 +443,7 @@ def ubebs_alpha_from_iiss(alpha: ComparisonFn, beta: KLFn) -> ComparisonFn:
 _ARRAY_FORMS = ((math.ceil, np.ceil), (math.floor, np.floor))
 
 
-def lift_weak_beta(
-    beta: KLFn, phi: Callable[[float], float], s_probe: float | None = None
-) -> KLFn:
+def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
     """Convert an elapsed-time bound into a jump-counting one.
 
     ``phi`` must be a nondecreasing envelope on the number of jumps in
@@ -433,18 +452,15 @@ def lift_weak_beta(
     endpoint of the final bracket, which keeps the lift conservative:
     beta(r, s) <= lifted(r, s + phi(s)) pointwise.
 
-    Arrays of strong times are lifted by one masked bisection when
-    ``phi`` takes arrays: ``math.ceil`` and ``math.floor`` are read as
-    ``np.ceil`` and ``np.floor``, and any other envelope qualifies when
-    it maps the probe array to values of the same shape equal to its
-    scalar values.  Each element then stops where its own scalar
-    bisection would, so both paths give the same bits.  Envelopes that
-    take scalars only are bisected one element at a time.
+    g is one masked bisection over all strong times (a scalar one is an
+    array of one), each time leaving it once its own bracket is narrow.
+    ``math.ceil`` and ``math.floor`` are read as ``np.ceil`` and
+    ``np.floor``, and any other envelope is called on arrays when it maps
+    the probe array to values of the same shape equal to its scalar
+    values; otherwise it is called one element at a time.  Either way
+    each time gets the same bits.
     """
-    probe_hi = float(s_probe if s_probe is not None else beta.s_hint)
-    probe = np.concatenate(
-        ([1e-9], np.geomspace(1e-6, max(probe_hi, 1.0), 40))
-    )
+    probe = np.concatenate(([1e-9], np.geomspace(1e-6, max(beta.s_hint, 1.0), 40)))
     pv = np.array([float(phi(float(s))) for s in probe])
     if np.any(~np.isfinite(pv)) or np.any(pv < 0):
         raise InvalidPhi("envelope must be finite and nonnegative")
@@ -457,66 +473,37 @@ def lift_weak_beta(
     except Exception:
         # an envelope written for scalars may fail on arrays in any way
         takes_arrays = False
+    if not takes_arrays:
+
+        def phi_arr(s: np.ndarray) -> np.ndarray:
+            return np.array([float(phi(v)) for v in s.tolist()])
 
     phi0 = float(phi(1e-12))  # limit from the right at 0
 
-    def g_scalar(v: float) -> float:
-        if v <= phi0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if hi + float(phi(hi)) >= v:
-                break
-            hi *= 2.0
-        else:
-            raise InvalidPhi("envelope fails to grow past the target")
-        for _ in range(INVERT_MAX_ITER):
-            if hi - lo <= 1e-10 * (1.0 + hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if mid + float(phi(mid)) >= v:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    def g_masked(v: np.ndarray) -> np.ndarray:
-        # each element leaves the doubling and the bisection after the
-        # same tests as its own g_scalar loop, so the bits match
+    def g(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.size)
         live = np.flatnonzero(~(v.ravel() <= phi0))
         target = v.ravel()[live]
-        lo, hi, h = np.zeros(live.size), np.zeros(live.size), 1.0
-        for _ in range(200):
-            # elements still doubling share h: one scalar envelope call
+        hi, h = np.zeros(live.size), 1.0
+        while not hi.all():
+            if h > 2.0**199:
+                raise InvalidPhi("envelope fails to grow past the target")
+            # times still doubling share h: one scalar envelope call
             hi[(hi == 0.0) & (h + float(phi(h)) >= target)] = h
-            if hi.all():
-                break
             h *= 2.0
-        else:
-            raise InvalidPhi("envelope fails to grow past the target")
-        for _ in range(INVERT_MAX_ITER):
-            open_ = hi - lo > 1e-10 * (1.0 + hi)
-            if not open_.all():
-                out[live[~open_]] = lo[~open_]
-                live, lo, hi, target = live[open_], lo[open_], hi[open_], target[open_]
-            if live.size == 0:
-                break
-            mid = 0.5 * (lo + hi)
-            up = mid + np.asarray(phi_arr(mid), dtype=float) >= target
-            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-        out[live] = lo
+        out[live], _ = _bisect(
+            lambda mid, t: mid + np.asarray(phi_arr(mid), dtype=float) >= t,
+            np.zeros(live.size),
+            hi,
+            lambda lo, hi: hi - lo <= 1e-10 * (1.0 + hi),
+            target,
+        )
         return out.reshape(v.shape)
-
-    def g_vec(v: np.ndarray) -> np.ndarray:
-        if takes_arrays:
-            return g_masked(v)
-        return np.array([g_scalar(float(x)) for x in v.ravel()]).reshape(v.shape)
 
     def ev(r, s):
         if isinstance(s, np.ndarray):
-            return eval_kl_array(beta, float(r), g_vec(s))
-        return beta.evaluator(float(r), g_scalar(float(s)))
+            return eval_kl_array(beta, float(r), g(s))
+        return beta.evaluator(r, float(g(np.array([float(s)]))[0]))
 
     return KLFn(
         ev,

@@ -40,7 +40,6 @@ class ImpulseSequence:
         self,
         times=None,
         generator: Callable[[float], np.ndarray] | None = None,
-        declared_unbounded: bool = False,
         description: str = "",
     ):
         if (times is None) == (generator is None):
@@ -51,7 +50,6 @@ class ImpulseSequence:
         else:
             self._times = None
         self._generator = generator
-        self.declared_unbounded = bool(declared_unbounded)
         self.description = description
         self._cache_horizon = -math.inf
         self._cache = np.empty(0)
@@ -61,14 +59,8 @@ class ImpulseSequence:
         return cls(times=times, description=description)
 
     @classmethod
-    def from_generator(
-        cls, generator, declared_unbounded: bool = True, description: str = ""
-    ) -> "ImpulseSequence":
-        return cls(
-            generator=generator,
-            declared_unbounded=declared_unbounded,
-            description=description,
-        )
+    def from_generator(cls, generator, description: str = "") -> "ImpulseSequence":
+        return cls(generator=generator, description=description)
 
     @property
     def is_finite(self) -> bool:
@@ -275,9 +267,7 @@ def periodic_family(period: float) -> ImpulseFamily:
         return period * np.arange(1, n + 1)
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
-        return ImpulseSequence.from_generator(
-            gen, declared_unbounded=True, description=f"periodic({period:g})"
-        )
+        return ImpulseSequence.from_generator(gen, description=f"periodic({period:g})")
 
     return ImpulseFamily(
         sampler=sample,
@@ -303,7 +293,7 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
             return np.asarray(out)
 
         return ImpulseSequence.from_generator(
-            gen, declared_unbounded=True, description=f"dwell({min_gap:g},{max_gap:g})"
+            gen, description=f"dwell({min_gap:g},{max_gap:g})"
         )
 
     return ImpulseFamily(
@@ -353,9 +343,7 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
             return np.asarray(out)
 
         return ImpulseSequence.from_generator(
-            gen,
-            declared_unbounded=True,
-            description=f"shrinking({first_gap:g}->{min_gap:g})",
+            gen, description=f"shrinking({first_gap:g}->{min_gap:g})"
         )
 
     return ImpulseFamily(

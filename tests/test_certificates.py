@@ -40,6 +40,7 @@ from impstab.certificates import (
     replay_witness,
     settling_time_profile,
 )
+from impstab import comparison
 from impstab.comparison import exp_decay_kl, identity, power, rational_decay_kl, saturating
 from impstab.errors import (
     ClassViolation,
@@ -48,7 +49,7 @@ from impstab.errors import (
     NonZeroInput,
     OutOfRange,
 )
-from impstab.impulses import ImpulseSequence, empty_family, periodic_family
+from impstab.impulses import ImpulseSequence, dwell_family, empty_family, periodic_family
 from impstab.inputs import HybridInput, constant_signal, pulse_train, zero_signal
 from impstab.library import (
     decaying_guas_certificate,
@@ -388,7 +389,50 @@ def test_closed_form_inverses_keep_falsify_results(kind, alpha, beta):
             assert wf == ws
 
 
+def spied(family):
+    """family with a sampler that records the seeds it is asked for."""
+    seeds = []
+
+    def sampler(seed, horizon):
+        seeds.append(seed)
+        return family.sampler(seed, horizon)
+
+    return replace(family, sampler=sampler), seeds
+
+
 class TestDerivedCertificates:
+    def test_validation_makes_few_scalar_root_finds(self, monkeypatch):
+        """Derived and lifted bounds take an array of r with one s, so
+        validating one solves a few dozen one-element roots at most, not
+        one per probe point (about 230 when they took floats only)."""
+        sizes = []
+        invert_array, bisect = comparison.invert_array, comparison._bisect
+
+        def counted_invert(f, y):
+            sizes.append(np.size(y))
+            return invert_array(f, y)
+
+        def counted_lift_bisect(up, lo, hi, closed, *carry, together=False):
+            if not together:  # the lift's bisection; inversion's runs together
+                sizes.append(lo.size)
+            return bisect(up, lo, hi, closed, *carry, together=together)
+
+        monkeypatch.setattr(comparison, "invert_array", counted_invert)
+        monkeypatch.setattr(comparison, "_bisect", counted_lift_bisect)
+        base = IissCertificate(
+            power(2.0), exp_decay_kl(4.0, 0.5), identity(), identity(), "strong"
+        )
+        weak = pure_jump_weak_certificate()
+        for derive in (
+            lambda: derive_guas_from_iiss(base),
+            lambda: derive_guas_from_iiss(lin_contract_iiss_certificate()),
+            lambda: derive_strong_from_weak(weak, math.ceil),
+            lambda: derive_strong_from_weak(weak, lambda s: math.ceil(s)),
+        ):
+            del sizes[:]
+            derive()
+            assert 0 < sizes.count(1) <= 30
+
     def test_decay_through_square_gauge(self):
         base = IissCertificate(
             power(2.0), exp_decay_kl(4.0, 0.5), identity(), identity(), "strong"
@@ -558,6 +602,29 @@ class TestEpsDelta:
         assert rep_iii.verdict == "pass"
         assert not any(rep_iii.details["saturated"].values())
 
+    def test_convergence_cells_draw_their_own_jump_times(self):
+        """Item iii draws distinct jump times per cell and per seed; it
+        once drew the same ones for every seed."""
+        cfg = EpsDeltaConfig(
+            alpha_tilde=identity(),
+            T_grid=(2.0,),
+            r_grid=(0.5, 1.0),
+            s_grid=(0.5,),
+            eps_grid=(0.5,),
+            horizon=2.0,
+            delta_levels=1,
+        )
+        item_iii = []
+        for seed in (0, 1):
+            family, seeds = spied(dwell_family(0.3, 1.0))
+            check_eps_delta_conditions(
+                get_example("lin-contract"), None, family, cfg, budget=2, seed=seed
+            )
+            item_iii.append(seeds[-4:])  # 2 cells x 2 trials, drawn last
+        for cells in item_iii:
+            assert set(cells[:2]).isdisjoint(cells[2:])
+        assert set(item_iii[0]).isdisjoint(item_iii[1])
+
     def test_no_convergence_flagged(self):
         cfg = EpsDeltaConfig(
             alpha_tilde=identity(),
@@ -566,10 +633,9 @@ class TestEpsDelta:
             s_grid=(0.5,),
             eps_grid=(0.5,),
             horizon=6.0,
-            zero_input=True,
         )
         rep_i, rep_ii, rep_iii = check_eps_delta_conditions(
-            zero_system(), (identity(), identity()), empty_family(), cfg, budget=6, seed=0
+            zero_system(), None, empty_family(), cfg, budget=6, seed=0
         )
         # a frozen state is bounded and stable but never settles
         assert rep_i.verdict == "pass"
@@ -579,6 +645,18 @@ class TestEpsDelta:
 
 
 class TestSettling:
+    def test_jump_times_follow_the_seed(self):
+        """Settling trials once drew the same jump times for every seed."""
+        drawn = []
+        for seed in (0, 1, 99):
+            family, seeds = spied(dwell_family(0.3, 1.0))
+            estimate_settling_time(
+                make_linear_system(-1.0, 1.0), family, identity(), 1.0, 0.5,
+                budget=3, seed=seed,
+            )
+            drawn.append(frozenset(seeds))
+        assert len(set(drawn)) == 3
+
     def test_linear_decay_matches_logarithm(self):
         sys1 = make_linear_system(-1.0, 1.0)
         est = estimate_settling_time(
@@ -649,7 +727,7 @@ class TestSettling:
 
 SETTLING_CONFIGS = [
     SettlingConfig(horizon=3.0),
-    SettlingConfig(gain=(identity(), identity()), zero_input=False, t0_max=1.0, horizon=3.0),
+    SettlingConfig(gain=(identity(), identity()), t0_max=1.0, horizon=3.0),
 ]
 
 
@@ -702,17 +780,16 @@ def limit_report_digest() -> str:
     cfg = EpsDeltaConfig(alpha_tilde=identity(), T_grid=(2.0, 6.0), horizon=6.0)
     for system, gain in systems:
         for family in (empty_family(), periodic_family(0.5)):
-            for zero_input in (False, True):
+            for input_gain in (gain, None):
                 for budget in (1, 2, 3):
                     reps = check_eps_delta_conditions(
-                        system, gain, family, replace(cfg, zero_input=zero_input),
-                        budget=budget, seed=budget,
+                        system, input_gain, family, cfg, budget=budget, seed=budget
                     )
                     put([r.to_dict() for r in reps])
     linear = make_linear_system(-1.0, 1.0)
     configs = (
         SettlingConfig(horizon=6.0),
-        SettlingConfig(gain=(identity(), identity()), zero_input=False, t0_max=1.0, horizon=6.0),
+        SettlingConfig(gain=(identity(), identity()), t0_max=1.0, horizon=6.0),
     )
     for family in (empty_family(), periodic_family(0.5)):
         for config in configs:

@@ -1,5 +1,6 @@
 """Gauge classes, inversion, and certificate transformations."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from impstab.comparison import (
     ComparisonFn,
     KLFn,
     _beta_at_zero,
+    _bisect,
     compose,
     eval_array,
     eval_kl_array,
@@ -30,6 +32,7 @@ from impstab.comparison import (
     ubebs_alpha_from_iiss,
 )
 from impstab.errors import ClassViolation, InvalidPhi, NotMonotone, OutOfRange
+from impstab.impulses import dwell_family, periodic_family
 
 # root of r + log(1+r) = 3, frozen from an independent root finder
 INVERT_ORACLE = 1.9262710624435009
@@ -177,10 +180,13 @@ class TestClosedFormInverse:
 
     @pytest.mark.parametrize("fn", STOCK_INVERTIBLE, ids=STOCK_IDS)
     def test_no_bisection_runs(self, fn):
-        # f(hint), f(0) and one residual check: no bisection step
+        # f(hint), f(0) and one residual check: no bisection step; the
+        # top target is within the tolerance of f(hint), so it maps to
+        # the hint exactly
         counted, calls = counting(fn)
         ys = np.linspace(0.0, float(fn(fn.domain_hint)), 1000)
         want = np.clip(fn.inverse(ys), 0.0, fn.domain_hint)
+        want[-1] = fn.domain_hint
         np.testing.assert_array_equal(invert_array(counted, ys), want)
         assert len(calls) == 3
         del calls[:]
@@ -366,6 +372,109 @@ class TestLift:
     def test_decreasing_envelope_rejected(self):
         with pytest.raises(InvalidPhi):
             lift_weak_beta(exp_decay_kl(1.0, 1.0), lambda s: 1.0 / (1.0 + s))
+
+
+class TestOneBisection:
+    """`invert`, `invert_array` and the lift share `_bisect`."""
+
+    @pytest.mark.parametrize("together", [False, True])
+    def test_closed_brackets_make_no_predicate_call(self, together):
+        def up(mid, *carry):
+            raise AssertionError("predicate called")
+
+        closed = lambda lo, hi: hi - lo <= 1e-10 * (1.0 + hi)  # noqa: E731
+        for lo, hi in ((np.zeros(0), np.zeros(0)), (np.ones(3), np.ones(3))):
+            got, _ = _bisect(up, lo, hi, closed, np.ones(lo.size), together=together)
+            np.testing.assert_array_equal(got, lo)
+
+    def test_all_zero_targets_are_not_bisected(self):
+        counted, calls = counting(ComparisonFn(lambda r: r**3 + r, domain_hint=100.0))
+        np.testing.assert_array_equal(invert_array(counted, np.zeros(5)), np.zeros(5))
+        assert len(calls) == 2  # f(hint) and f(0)
+
+    def test_targets_below_the_envelope_at_zero_ask_nothing(self):
+        calls = []
+
+        def phi(s):
+            calls.append(s)
+            return np.ceil(s) + 1.0
+
+        lifted = lift_weak_beta(KLFn(lambda r, s: s), phi)
+        del calls[:]
+        np.testing.assert_array_equal(lifted(1.0, np.array([-1.0, 0.0, 0.5, 1.0])), 0.0)
+        assert lifted(1.0, 1.0) == 0.0
+        assert calls == []
+
+    def test_scalar_invert_is_a_one_element_array(self):
+        fn = ComparisonFn(lambda r: r**3 + r, domain_hint=100.0)
+        for y in (1e-12, 0.3, 3.0, 1e3, float(fn(100.0))):
+            assert invert(fn, y) == float(invert_array(fn, np.array([y]))[0])
+
+    def test_top_target_maps_to_the_hint(self):
+        fn = ComparisonFn(lambda r: r**3 + r, domain_hint=100.0)
+        top = float(fn(100.0))
+        got = invert_array(fn, np.array([1.0, top, top * (1.0 - 1e-12)]))
+        assert got[1] == got[2] == 100.0
+
+
+def comparison_digest() -> str:
+    """sha256 over scalar and array inversion of gauges without a closed
+    form, lifts over array-capable and scalar-only envelopes, and the
+    certified ranges of derived decay bounds and overshoot gauges."""
+    h = hashlib.sha256()
+
+    def put(values):
+        h.update(np.asarray(values, dtype=float).tobytes())
+
+    no_inverse = (
+        saturating(2.0),
+        ComparisonFn(lambda r: r + math.log1p(r)),
+        ComparisonFn(lambda r: r**3 + r, domain_hint=100.0),
+        replace(power(0.5), inverse=None),
+        replace(power(3.0, 2.5, domain_hint=50.0), inverse=None),
+        replace(log_growth(3.0), inverse=None),
+    )
+    for fn in no_inverse:
+        top = float(fn(fn.domain_hint))
+        ys = np.concatenate(([0.0, 1e-300, 1e-18], np.geomspace(1e-12, 0.9 * top, 40)))
+        put([invert(fn, float(y)) for y in ys] + [invert(fn, top)])
+        put(invert_array(fn, ys))
+    read_g = KLFn(lambda r, s: s)
+    vs = np.concatenate(([-1e-3, 0.0, 1e-12, 1e-9], np.linspace(0.0, 30.0, 121), [5e5]))
+    for phi in (
+        math.ceil,
+        np.sqrt,
+        periodic_family(0.7).uib_phi,
+        dwell_family(0.3, 1.0).uib_phi,
+        lambda s: math.ceil(s),
+        lambda s: math.sqrt(s),
+    ):
+        lifted = lift_weak_beta(read_g, phi)
+        put(lifted(1.0, vs))
+        put([lifted(1.0, float(v)) for v in vs[::9]])
+    for alpha, beta in (
+        (identity(), exp_decay_kl(1.0, math.log(2.0))),
+        (power(2.0), exp_decay_kl(4.0, 0.5)),
+        (power(3.0, 2.5, domain_hint=50.0), rational_decay_kl(2.0, 1.0)),
+        (log_growth(), exp_decay_kl(1.0, 1.0)),
+        (replace(power(2.0), inverse=None), exp_decay_kl(1.0, 1.0)),
+        (linear(0.5, domain_hint=10.0), rational_decay_kl(3.0, 2.0)),
+    ):
+        put(
+            [
+                guas_decay_from_iiss(alpha, beta).r_hint,
+                ubebs_alpha_from_iiss(alpha, beta).domain_hint,
+            ]
+        )
+    return h.hexdigest()
+
+
+def test_pinned_comparison_digest():
+    """Every bit is as it was when scalar inversion and the scalar lift
+    had bisection loops of their own."""
+    assert comparison_digest() == (
+        "4a76eeae490dbb214c5a3f3aa7788fcae9aa90dcd00942593126c962993918c2"
+    )
 
 
 class TestGaugeAlgebra:

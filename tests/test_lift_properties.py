@@ -1,9 +1,10 @@
 """Property tests of the weak-to-strong lift, of jump counting and of the
 strong-time schedule.
 
-The lift's array path is one masked bisection over all strong times;
-its scalar path bisects one time at a time.  Both must give the same
-bits for every envelope, array-capable or not.  Times are drawn partly
+The lift is one masked bisection over all strong times, each time
+leaving it once its own bracket is narrow; a scalar time is an array of
+one.  An array must give each time the bits it gets alone, for every
+envelope, array-capable or not.  Times are drawn partly
 from a quarter grid so that targets, jump times and window ends land on
 the envelopes' steps, where rounding decides the answer.
 """
