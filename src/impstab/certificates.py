@@ -751,20 +751,41 @@ def _limit_trial(
     step: float,
     gain: tuple[ComparisonFn, ComparisonFn] | None,
     cap: float,
+    T: float = math.inf,
+    eps: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One limit-condition trial from t0: |x0| <= r, then a random input
     scaled to energy at most cap over (t0, t0 + horizon], or zero input
     when gain is None.  Returns the state norms and strong times at the
-    check points, and the input's energy."""
+    check points, and the input's energy.
+
+    Only the check points a verdict reads are simulated, each with the
+    bits the full-horizon run gives it.  With |x0| > eps the trial
+    returns the t0 point alone, unpriced and unsimulated.  With a finite
+    T the run ends at the first jump whose post-jump strong time exceeds
+    T + 1e-12: its pre-jump point is still recorded, every later point
+    lies above the bound too, and the jump is a segment end of the full
+    run, so the windows before it are the same.  The energy is still
+    priced over the whole window.
+    """
     x0 = _sample_x0(rng, system.dim_x, r, k)
+    norm0 = np.linalg.norm(x0[None, :], axis=1)  # as `_check_points` takes it
+    if norm0[0] > eps:
+        return norm0, np.zeros(1), 0.0
     sigma = family.sampler(sigma_seed, t0 + horizon + 1.0)
     if gain is None:
         u, energy = zero_signal(system.dim_u), 0.0
     else:
         raw = _random_signal(rng, system.dim_u, t0, t0 + horizon, 1.0, 5)
         u, energy = _scaled_to_energy(raw, sigma, gain, t0, t0 + horizon, cap)
-    w = HybridInput(u, sigma)
-    traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
+    t_end = t0 + horizon
+    taus = sigma.materialize(t_end)
+    taus = taus[taus > t0]
+    # post-jump strong times, summed as `_check_points` sums them
+    past = np.flatnonzero((taus - t0) + np.arange(1, taus.size + 1) > T + 1e-12)
+    if past.size:
+        t_end = float(taus[past[0]])
+    traj = simulate(system, t0, x0, HybridInput(u, sigma), t_end, step, strict=False)
     _, norms, sargs, _ = _check_points(traj, sigma, "strong")
     return norms, sargs, energy
 
@@ -845,12 +866,25 @@ def check_eps_delta_conditions(
     time where alpha_tilde(|x|) still exceeded eps + energy; saturation
     of that threshold at the observable window is reported as violated.
 
+    Items (i) and (ii) simulate only the samples they read (see
+    `_limit_trial`): a trial of (i) stops at the first jump past its
+    strong-time bound T, and a trial of (ii) with |x0| > eps fails
+    unsimulated.  The reports are bit-identical to full-horizon runs.
+
     ``gain`` prices the sampled inputs' energy; None drives every trial
     with zero input.  ``budget`` is the number of trials per grid cell
     (per level for item ii).  Passing is sampling evidence; violations
-    carry data.
+    carry data.  ConfigError for a budget below 1, and OutOfRange for an
+    empty grid or an eps that is not positive (NaN too), before anything
+    is simulated.
     """
     cfg = config
+    if budget < 1:
+        raise ConfigError("budget must be at least 1")
+    if not all(len(grid) for grid in (cfg.T_grid, cfg.r_grid, cfg.s_grid, cfg.eps_grid)):
+        raise OutOfRange("every grid needs at least one value")
+    if not all(eps > 0 for eps in cfg.eps_grid):
+        raise OutOfRange("need eps > 0")
 
     # item i: uniform bound over strong-time sublevels
     c_grid = {}
@@ -867,7 +901,7 @@ def check_eps_delta_conditions(
                     t0 = float(rng.uniform(0.0, cfg.t0_max))
                     norms, sargs, _ = _limit_trial(
                         system, family, rng, k, t0, r, _trial_seed(seed, 101 * cell + k),
-                        cfg.horizon, cfg.step, gain, s,
+                        cfg.horizon, cfg.step, gain, s, T=T,
                     )
                     mask = sargs <= T + 1e-12
                     if np.any(mask):
@@ -902,10 +936,10 @@ def check_eps_delta_conditions(
                 norms, _, _ = _limit_trial(
                     system, family, rng, k, t0, delta,
                     _trial_seed(seed, 7919 * e_idx + 131 * level + k),
-                    cfg.horizon, cfg.step, gain, delta,
+                    cfg.horizon, cfg.step, gain, delta, eps=eps,
                 )
                 trials_ii += 1
-                if norms.size and float(np.max(norms)) > eps:
+                if float(np.max(norms)) > eps:
                     ok = False
                     break
             if ok:
@@ -995,9 +1029,12 @@ def _settling_scans(
     seed: int,
 ) -> list[list[_ScanResult]]:
     """One `_gain_violation_scan` per r, over every eps, each on the seed
-    path [seed, 44].  OutOfRange for any r <= 0 or eps <= 0, before
-    anything is simulated."""
-    if any(r <= 0 for r in r_grid) or any(eps <= 0 for eps in eps_grid):
+    path [seed, 44].  ConfigError for a budget below 1 and OutOfRange for
+    an r or eps that is not positive (NaN too), before anything is
+    simulated."""
+    if budget < 1:
+        raise ConfigError("budget must be at least 1")
+    if not all(r > 0 for r in r_grid) or not all(eps > 0 for eps in eps_grid):
         raise OutOfRange("need r > 0 and eps > 0")
     eps_grid = [float(eps) for eps in eps_grid]
     return [
@@ -1050,10 +1087,11 @@ def settling_time_profile(
 
     Each cell is `estimate_settling_time` of its (r, eps), bit for bit,
     but every eps of one r is read off the same simulated trials, so a
-    row costs one scan.  OutOfRange for any r <= 0 or eps <= 0.  The
-    underlying quantity is nondecreasing in r and nonincreasing in eps;
-    sampled estimates are reported raw and simply flagged when they
-    wobble beyond the sampling tolerance, not adjusted.
+    row costs one scan.  ConfigError for a budget below 1, OutOfRange
+    for an r or eps that is not positive.  The underlying quantity is
+    nondecreasing in r and nonincreasing in eps; sampled estimates are
+    reported raw and simply flagged when they wobble beyond the sampling
+    tolerance, not adjusted.
     """
     scans = _settling_scans(system, family, alpha, r_grid, eps_grid, config, budget, seed)
     est = [[s.threshold for s in row] for row in scans]

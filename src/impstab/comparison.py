@@ -197,6 +197,11 @@ def eval_kl_array(beta: KLFn, r: float, s: np.ndarray) -> np.ndarray:
     return _eval_elementwise(lambda v: beta.evaluator(r, v), s)
 
 
+def _eval_kl_over_r(beta: KLFn, r: np.ndarray, s: float) -> np.ndarray:
+    """beta(r, s) over an array of r values at one s."""
+    return _eval_elementwise(lambda v: beta.evaluator(v, s), r)
+
+
 def _bisect(up, lo, hi, closed, *carry, together=False):
     """Bisect the brackets [lo, hi] elementwise until ``closed(lo, hi)``.
 
@@ -385,8 +390,9 @@ def guas_decay_from_iiss(alpha: ComparisonFn, beta: KLFn) -> KLFn:
     def ev(r, s):
         if isinstance(s, np.ndarray):
             return invert_array(alpha, eval_kl_array(beta, float(r), s))
-        root = invert_array(alpha, beta.evaluator(r, float(s)))
-        return root if isinstance(r, np.ndarray) else float(root)
+        if isinstance(r, np.ndarray):  # one inversion, whatever beta takes
+            return invert_array(alpha, _eval_kl_over_r(beta, r, float(s)))
+        return float(invert_array(alpha, beta.evaluator(r, float(s))))
 
     # cap the r range so every inversion target stays reachable
     alpha_top = float(alpha.evaluator(float(alpha.domain_hint)))
@@ -503,7 +509,10 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
     def ev(r, s):
         if isinstance(s, np.ndarray):
             return eval_kl_array(beta, float(r), g(s))
-        return beta.evaluator(r, float(g(np.array([float(s)]))[0]))
+        gs = float(g(np.array([float(s)]))[0])
+        if isinstance(r, np.ndarray):  # one root-find, whatever beta takes
+            return _eval_kl_over_r(beta, r, gs)
+        return beta.evaluator(r, gs)
 
     return KLFn(
         ev,

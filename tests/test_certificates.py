@@ -25,6 +25,7 @@ from impstab.certificates import (
     UbebsCertificate,
     Witness,
     _check_points,
+    _limit_trial,
     _scrambled_halton,
     certificate_from_config,
     check_certificate,
@@ -40,8 +41,8 @@ from impstab.certificates import (
     replay_witness,
     settling_time_profile,
 )
-from impstab import comparison
-from impstab.comparison import exp_decay_kl, identity, power, rational_decay_kl, saturating
+from impstab import certificates, comparison
+from impstab.comparison import KLFn, exp_decay_kl, identity, power, rational_decay_kl, saturating
 from impstab.errors import (
     ClassViolation,
     ConfigError,
@@ -400,25 +401,32 @@ def spied(family):
     return replace(family, sampler=sampler), seeds
 
 
+def root_find_sizes(monkeypatch) -> list:
+    """A list that records the size of every inversion and every lift
+    bisection the comparison module starts from now on."""
+    sizes = []
+    invert_array, bisect = comparison.invert_array, comparison._bisect
+
+    def counted_invert(f, y):
+        sizes.append(np.size(y))
+        return invert_array(f, y)
+
+    def counted_lift_bisect(up, lo, hi, closed, *carry, together=False):
+        if not together:  # the lift's bisection; inversion's runs together
+            sizes.append(lo.size)
+        return bisect(up, lo, hi, closed, *carry, together=together)
+
+    monkeypatch.setattr(comparison, "invert_array", counted_invert)
+    monkeypatch.setattr(comparison, "_bisect", counted_lift_bisect)
+    return sizes
+
+
 class TestDerivedCertificates:
     def test_validation_makes_few_scalar_root_finds(self, monkeypatch):
         """Derived and lifted bounds take an array of r with one s, so
         validating one solves a few dozen one-element roots at most, not
         one per probe point (about 230 when they took floats only)."""
-        sizes = []
-        invert_array, bisect = comparison.invert_array, comparison._bisect
-
-        def counted_invert(f, y):
-            sizes.append(np.size(y))
-            return invert_array(f, y)
-
-        def counted_lift_bisect(up, lo, hi, closed, *carry, together=False):
-            if not together:  # the lift's bisection; inversion's runs together
-                sizes.append(lo.size)
-            return bisect(up, lo, hi, closed, *carry, together=together)
-
-        monkeypatch.setattr(comparison, "invert_array", counted_invert)
-        monkeypatch.setattr(comparison, "_bisect", counted_lift_bisect)
+        sizes = root_find_sizes(monkeypatch)
         base = IissCertificate(
             power(2.0), exp_decay_kl(4.0, 0.5), identity(), identity(), "strong"
         )
@@ -432,6 +440,24 @@ class TestDerivedCertificates:
             del sizes[:]
             derive()
             assert 0 < sizes.count(1) <= 30
+
+    def test_float_only_beta_validation_makes_few_root_finds(self, monkeypatch):
+        """A beta that takes floats only is called one r at a time around
+        beta alone, so the root-find still runs once per call: validating
+        its lift once made 246 root-finds, one per probe point."""
+        beta = KLFn(lambda r, s: 2.0 * math.fabs(r) * math.exp(-0.5 * s), name="float-only")
+        sizes = root_find_sizes(monkeypatch)
+        for derive in (
+            lambda: derive_guas_from_iiss(
+                IissCertificate(power(2.0), beta, identity(), identity(), "strong")
+            ),
+            lambda: derive_strong_from_weak(GuasCertificate(beta, "weak"), math.ceil),
+        ):
+            del sizes[:]
+            derived = derive()
+            assert 0 < sizes.count(1) <= 30
+            for r in (0.5, 2.0):
+                assert derived.beta(np.array([r]), 1.0)[0] == derived.beta(r, 1.0)
 
     def test_decay_through_square_gauge(self):
         base = IissCertificate(
@@ -643,6 +669,78 @@ class TestEpsDelta:
         assert rep_iii.verdict == "violated"
         assert any(rep_iii.details["saturated"].values())
 
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_below_one_rejected(self, budget):
+        """A budget of 0 once gave three passes on zero trials, and -2
+        reported -24 trials; settling took both too."""
+        with pytest.raises(ConfigError, match="budget must be at least 1"):
+            check_eps_delta_conditions(
+                get_example("lin-contract"), None, empty_family(),
+                EpsDeltaConfig(alpha_tilde=identity()), budget=budget,
+            )
+        linear = make_linear_system(-1.0, 1.0)
+        with pytest.raises(ConfigError, match="budget must be at least 1"):
+            estimate_settling_time(linear, empty_family(), identity(), 1.0, 0.5, budget=budget)
+        with pytest.raises(ConfigError, match="budget must be at least 1"):
+            settling_time_profile(
+                linear, empty_family(), identity(), (1.0,), (0.5,), budget=budget
+            )
+
+    @pytest.mark.parametrize(
+        "grids",
+        [{"T_grid": ()}, {"r_grid": ()}, {"s_grid": ()}, {"eps_grid": ()},
+         {"eps_grid": (0.0,)}, {"eps_grid": (0.5, -0.1)}, {"eps_grid": (math.nan,)}],
+        ids=["empty-T", "empty-r", "empty-s", "empty-eps", "zero-eps", "negative-eps", "nan-eps"],
+    )
+    def test_degenerate_grids_rejected(self, grids):
+        """An empty T, r or s grid once left item i's worst margin at -inf,
+        which json.dumps writes as the non-JSON -Infinity, and eps = 0 ran
+        to a "violated" item ii; both are refused before any step."""
+        calls = []
+
+        def flow(t, x, u):
+            calls.append(t)
+            return (-x[0],)
+
+        counted = ImpulsiveSystem("counted", 1, 1, flow, lambda t, x, u: (0.0,))
+        cfg = replace(EpsDeltaConfig(alpha_tilde=identity(), horizon=1.0), **grids)
+        with pytest.raises(OutOfRange):
+            check_eps_delta_conditions(counted, None, empty_family(), cfg, budget=1)
+        assert calls == []
+
+    def test_benchmark_call_simulates_only_what_its_verdicts_read(self, monkeypatch):
+        """A budget-1 call on lin-contract under 0.5-periodic jumps makes 18
+        simulations, not 21: the stability trials with |x0| > eps (delta
+        1, 0.5 and 0.25 against eps 0.2) are decided at x0 and price no
+        input, and every boundedness trial stops before the horizon."""
+        ends, profiles = [], []
+        simulate, profile = certificates.simulate, certificates.EnergyProfile
+
+        def spied_simulate(system, t0, x0, w, horizon, step, strict=True):
+            ends.append(horizon - t0)
+            return simulate(system, t0, x0, w, horizon, step, strict)
+
+        def spied_profile(*args):
+            profiles.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(certificates, "simulate", spied_simulate)
+        monkeypatch.setattr(certificates, "EnergyProfile", spied_profile)
+        cfg = EpsDeltaConfig(alpha_tilde=identity())
+        check_eps_delta_conditions(
+            get_example("lin-contract"), (identity(), identity()), periodic_family(0.5),
+            cfg, budget=1, seed=0,
+        )
+        assert len(ends) == len(profiles) == 18
+        assert all(end < cfg.horizon for end in ends[:12])  # item i comes first
+        del ends[:], profiles[:]
+        norms, sargs, energy = _limit_trial(
+            get_example("lin-contract"), periodic_family(0.5), np.random.default_rng(0), 0,
+            0.0, 1.0, 0, cfg.horizon, cfg.step, (identity(), identity()), 1.0, eps=0.5,
+        )
+        assert norms.tolist() == [1.0] and sargs.tolist() == [0.0] and energy == 0.0
+        assert ends == profiles == []
+
 
 class TestSettling:
     def test_jump_times_follow_the_seed(self):
@@ -678,6 +776,11 @@ class TestSettling:
             estimate_settling_time(sys1, empty_family(), identity(), r=0.0, eps=0.1)
         with pytest.raises(OutOfRange):
             estimate_settling_time(sys1, empty_family(), identity(), r=1.0, eps=-0.1)
+        # NaN once gave a settling time of 0.0 (eps) or NonFiniteState (r)
+        with pytest.raises(OutOfRange):
+            estimate_settling_time(sys1, empty_family(), identity(), r=1.0, eps=math.nan)
+        with pytest.raises(OutOfRange):
+            estimate_settling_time(sys1, empty_family(), identity(), r=math.nan, eps=0.1)
 
     def test_profile_monotone_for_linear_decay(self):
         sys1 = make_linear_system(-1.0, 1.0)
@@ -754,6 +857,18 @@ def test_profile_cells_are_single_estimates(r_grid, eps_grid, family, config, bu
             assert prof["saturated"][i][j] == est.saturated
 
 
+def planar_system():
+    return system_from_config(
+        {
+            "name": "planar",
+            "dim_x": 2,
+            "dim_u": 2,
+            "flow": ["u1 - x1 + 0.5*x2", "u2 - x2"],
+            "jump": ["-0.5*x1", "0.3*x1 - 0.6*x2"],
+        }
+    )
+
+
 def limit_report_digest() -> str:
     """sha256 over the reports of eps-delta runs (zero and random input,
     budgets 1-3, empty and periodic jumps, a 1-d and a 2-d system with
@@ -764,18 +879,9 @@ def limit_report_digest() -> str:
     def put(obj):
         h.update(json.dumps(obj, sort_keys=True).encode())
 
-    planar = system_from_config(
-        {
-            "name": "planar",
-            "dim_x": 2,
-            "dim_u": 2,
-            "flow": ["u1 - x1 + 0.5*x2", "u2 - x2"],
-            "jump": ["-0.5*x1", "0.3*x1 - 0.6*x2"],
-        }
-    )
     systems = (
         (get_example("lin-contract"), (identity(), identity())),
-        (planar, (saturating(2.0), power(2.0))),
+        (planar_system(), (saturating(2.0), power(2.0))),
     )
     cfg = EpsDeltaConfig(alpha_tilde=identity(), T_grid=(2.0, 6.0), horizon=6.0)
     for system, gain in systems:
@@ -813,3 +919,51 @@ def test_pinned_limit_report_digest():
     assert limit_report_digest() == (
         "b1a515325b740a4c8b3735ba9d665b933ec5de964fa3d1ec1d7d99ad44b02126"
     )
+
+
+LIMIT_TRIAL_SYSTEMS = [
+    (get_example("lin-contract"), (identity(), identity())),
+    (planar_system(), (saturating(2.0), power(2.0))),
+    (make_linear_system(3.0, 4.0), (identity(), identity())),  # leaves the radius
+]
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(LIMIT_TRIAL_SYSTEMS),
+    st.sampled_from([empty_family(), periodic_family(0.5), dwell_family(0.3, 1.0)]),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]), st.floats(-2.0, 30.0)),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 2.0),
+    st.one_of(st.just(1.0), st.floats(0.05, 3.0)),  # eps / r; 1.0 ties |x0| at k = 0
+    st.booleans(),
+    st.integers(0, 7),
+    st.integers(0, 1000),
+)
+def test_cut_limit_trial_reads_full_horizon_bits(
+    system_gain, family, t0, T, r, s, eps_over_r, priced, k, seed
+):
+    """A boundedness trial cut at its strong-time bound T keeps, bit for
+    bit, the full-horizon trial's check points with strong time at most
+    T, and its energy; a stability trial decided at |x0| > eps has the
+    full trial's verdict, and one not decided there is the full trial."""
+    system, gain = system_gain
+
+    def trial(**cut):
+        rng = np.random.default_rng([seed, k])
+        return _limit_trial(
+            system, family, rng, k, t0, r, seed, 8.0, 0.05, gain if priced else None, s, **cut
+        )
+
+    norms, sargs, energy = trial()
+    cut_norms, cut_sargs, cut_energy = trial(T=T)
+    keep, cut_keep = sargs <= T + 1e-12, cut_sargs <= T + 1e-12
+    assert cut_norms[cut_keep].tobytes() == norms[keep].tobytes()
+    assert cut_sargs[cut_keep].tobytes() == sargs[keep].tobytes()
+    assert cut_energy == energy and cut_norms.size <= norms.size
+    eps = eps_over_r * r
+    x_norms, x_sargs, _ = trial(eps=eps)
+    assert (float(np.max(x_norms)) > eps) == (float(np.max(norms)) > eps)
+    if x_norms[0] <= eps:
+        assert x_norms.tobytes() == norms.tobytes() and x_sargs.tobytes() == sargs.tobytes()
