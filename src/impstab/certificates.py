@@ -17,6 +17,7 @@ from (master seed, trial index) so any one trial reproduces on its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -105,6 +106,8 @@ class IissCertificate:
 
 
 Certificate = GuasCertificate | UbebsCertificate | IissCertificate
+
+_CERT_KIND = {GuasCertificate: "guas", UbebsCertificate: "ubebs", IissCertificate: "iiss"}
 
 
 @dataclass
@@ -423,7 +426,6 @@ class SearchRanges:
     u_amp_max: float = 2.0
     horizon: float = 10.0
     step: float = 1e-2
-    max_input_pieces: int = 6
 
 
 def _direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -491,12 +493,13 @@ def _path_seed(path: list[int]) -> int:
     return out
 
 
-_HALTON_BASES = (2, 3, 5, 7)
+_HALTON_BASES = (2, 3, 5)
 
 
 def _scrambled_halton(n: int, seed: int) -> np.ndarray:
-    """First n points of the 4-D scrambled Halton sequence, bit for bit
-    those of ``scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed)``.
+    """First n points of the 3-D scrambled Halton sequence, bit for bit
+    those of ``scipy.stats.qmc.Halton(d=3, scramble=True, seed=seed)``:
+    one column each for falsify's t0, |x0| and input amplitude.
 
     Base b gets ceil(54 / log2 b) - 1 digit permutations, each a shuffle
     of 0..b-1 drawn in turn from one generator.  A coordinate is the
@@ -550,62 +553,37 @@ def falsify(
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     zero_only = isinstance(cert, GuasCertificate)
-    kind = {
-        GuasCertificate: "falsify-guas",
-        UbebsCertificate: "falsify-ubebs",
-        IissCertificate: "falsify-iiss",
-    }[type(cert)]
+    kind = f"falsify-{_CERT_KIND[type(cert)]}"
     halton = _scrambled_halton(budget, seed)
+    maxes = (ranges.t0_max, ranges.x0_max, ranges.u_amp_max)
     worst = -math.inf
     inconclusive = 0
     for trial in range(budget):
         rng = np.random.default_rng([seed, trial])
         style = trial % 3
-        sigma = family.sampler(
-            _trial_seed(seed, trial), ranges.t0_max + ranges.horizon + 1.0
-        )
-        amp = ranges.u_amp_max
+        variant = (trial // 3) % 4 if style == 2 else None
+        sigma = family.sampler(_trial_seed(seed, trial), ranges.t0_max + ranges.horizon + 1.0)
+        # (t0, |x0|, amplitude): uniform, low-discrepancy, or the corner
         if style == 0:
-            t0 = float(rng.uniform(0.0, ranges.t0_max))
-            x0n = float(rng.uniform(0.0, ranges.x0_max))
-            amp = float(rng.uniform(0.0, ranges.u_amp_max))
+            t0, x0n, amp = (float(rng.uniform(0.0, m)) for m in maxes)
         elif style == 1:
-            row = halton[trial]
-            t0 = float(row[0] * ranges.t0_max)
-            x0n = float(row[1] * ranges.x0_max)
-            amp = float(row[2] * ranges.u_amp_max)
+            t0, x0n, amp = (float(v * m) for v, m in zip(halton[trial], maxes))
         else:
-            variant = (trial // 3) % 4
-            t0 = 0.0
-            x0n = ranges.x0_max
+            t0, x0n, amp = 0.0, ranges.x0_max, ranges.u_amp_max
             if variant == 2:
                 taus = sigma.materialize(ranges.t0_max + 1.0)
                 if taus.size:
                     t0 = max(0.0, float(taus[0]) - 0.5 * ranges.step)
         horizon = t0 + ranges.horizon
         x0 = x0n * _direction(rng, system.dim_x)
-        if zero_only:
+        if zero_only or variant == 0:
             u = zero_signal(system.dim_u)
-        elif style == 2:
-            variant = (trial // 3) % 4
-            if variant == 0:
-                u = zero_signal(system.dim_u)
-            elif variant == 1:
-                u = _pulses_at_jumps(
-                    sigma, system.dim_u, amp, 2.0 * ranges.step, t0, horizon
-                )
-            elif variant == 3:
-                u = InputSignal(
-                    np.array([t0]), amp * np.ones((1, system.dim_u))
-                )
-            else:
-                u = _random_signal(
-                    rng, system.dim_u, t0, horizon, amp, ranges.max_input_pieces
-                )
+        elif variant == 1:
+            u = _pulses_at_jumps(sigma, system.dim_u, amp, 2.0 * ranges.step, t0, horizon)
+        elif variant == 3:
+            u = InputSignal(np.array([t0]), amp * np.ones((1, system.dim_u)))
         else:
-            u = _random_signal(
-                rng, system.dim_u, t0, horizon, amp, ranges.max_input_pieces
-            )
+            u = _random_signal(rng, system.dim_u, t0, horizon, amp, 6)
         w = HybridInput(u, sigma)
         traj = simulate(system, t0, x0, w, horizon, ranges.step, strict=False)
         rep = check_certificate(cert, traj, w)
@@ -692,7 +670,6 @@ class EpsDeltaConfig:
     t0_max: float = 1.0
     horizon: float = 12.0
     step: float = 1e-2
-    delta_init: float = 1.0
     delta_levels: int = 16
 
 
@@ -712,8 +689,7 @@ def _scaled_to_energy(
     was set, and is priced afresh only if the factor stayed at 0.0.
     """
     if target <= 0.0 or sig.is_zero():
-        z = zero_signal(sig.dim)
-        return z, 0.0
+        return zero_signal(sig.dim), 0.0
     profile = EnergyProfile(HybridInput(sig, sigma), *gain, t0, t_end)
     base = profile.scaled_total(1.0)
     if base <= target:
@@ -734,30 +710,26 @@ def _scaled_to_energy(
     return sig.scaled(lo), lo_total
 
 
-def _sample_x0(rng: np.random.Generator, dim: int, r: float, k: int) -> np.ndarray:
-    norm = r if k % 4 == 0 else float(rng.uniform(0.0, r))
-    return norm * _direction(rng, dim)
-
-
 def _limit_trial(
     system: ImpulsiveSystem,
     family: ImpulseFamily,
-    rng: np.random.Generator,
-    k: int,
-    t0: float,
+    path: list[int],
     r: float,
-    sigma_seed: int,
-    horizon: float,
-    step: float,
+    cfg: EpsDeltaConfig | SettlingConfig,
     gain: tuple[ComparisonFn, ComparisonFn] | None,
     cap: float,
     T: float = math.inf,
     eps: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One limit-condition trial from t0: |x0| <= r, then a random input
-    scaled to energy at most cap over (t0, t0 + horizon], or zero input
-    when gain is None.  Returns the state norms and strong times at the
-    check points, and the input's energy.
+    """One limit-condition trial, drawn from its seed path alone.
+
+    ``path`` seeds the trial's generator, and `_path_seed(path)` its jump
+    times, so distinct paths never share jump times.  t0 is uniform on
+    [0, cfg.t0_max], or 0 without a draw when t0_max <= 0; |x0| is r when
+    the path ends in a multiple of 4 and uniform on [0, r] otherwise.
+    The input is random, scaled to energy at most cap over
+    (t0, t0 + cfg.horizon], or zero when gain is None.  Returns the state
+    norms and strong times at the check points, and the input's energy.
 
     Only the check points a verdict reads are simulated, each with the
     bits the full-horizon run gives it.  With |x0| > eps the trial
@@ -768,24 +740,27 @@ def _limit_trial(
     run, so the windows before it are the same.  The energy is still
     priced over the whole window.
     """
-    x0 = _sample_x0(rng, system.dim_x, r, k)
+    rng = np.random.default_rng(path)
+    t0 = 0.0 if cfg.t0_max <= 0 else float(rng.uniform(0.0, cfg.t0_max))
+    t_end = t0 + cfg.horizon
+    norm = r if path[-1] % 4 == 0 else float(rng.uniform(0.0, r))
+    x0 = norm * _direction(rng, system.dim_x)
     norm0 = np.linalg.norm(x0[None, :], axis=1)  # as `_check_points` takes it
     if norm0[0] > eps:
         return norm0, np.zeros(1), 0.0
-    sigma = family.sampler(sigma_seed, t0 + horizon + 1.0)
+    sigma = family.sampler(_path_seed(path), t_end + 1.0)
     if gain is None:
         u, energy = zero_signal(system.dim_u), 0.0
     else:
-        raw = _random_signal(rng, system.dim_u, t0, t0 + horizon, 1.0, 5)
-        u, energy = _scaled_to_energy(raw, sigma, gain, t0, t0 + horizon, cap)
-    t_end = t0 + horizon
+        raw = _random_signal(rng, system.dim_u, t0, t_end, 1.0, 5)
+        u, energy = _scaled_to_energy(raw, sigma, gain, t0, t_end, cap)
     taus = sigma.materialize(t_end)
     taus = taus[taus > t0]
     # post-jump strong times, summed as `_check_points` sums them
     past = np.flatnonzero((taus - t0) + np.arange(1, taus.size + 1) > T + 1e-12)
     if past.size:
         t_end = float(taus[past[0]])
-    traj = simulate(system, t0, x0, HybridInput(u, sigma), t_end, step, strict=False)
+    traj = simulate(system, t0, x0, HybridInput(u, sigma), t_end, cfg.step, strict=False)
     _, norms, sargs, _ = _check_points(traj, sigma, "strong")
     return norms, sargs, energy
 
@@ -804,9 +779,7 @@ def _gain_violation_scan(
     gain: tuple[ComparisonFn, ComparisonFn] | None,
     r: float,
     eps_grid,
-    t0_max: float,
-    horizon: float,
-    step: float,
+    cfg: EpsDeltaConfig | SettlingConfig,
     trials: int,
     seed_path: list[int],
 ) -> list[_ScanResult]:
@@ -816,10 +789,11 @@ def _gain_violation_scan(
     Every eps is judged on the same trials: each trial is drawn,
     simulated and its gauge values taken once, then each eps's threshold
     is applied in turn, so a result is the one a scan of that eps alone
-    gives.  Trial k draws its start, state, input and jump times from
-    ``seed_path + [k]``.  A gain of None drives every trial with zero
-    input.  Saturation means some trial's violations persist into the
-    edge of its observable strong-time window, i.e. no settling was seen.
+    gives.  Trial k is `_limit_trial` of ``cfg`` on the seed path
+    ``seed_path + [k]``, so t0 is 0 undrawn when cfg.t0_max <= 0.  A gain
+    of None drives every trial with zero input.  Saturation means some
+    trial's violations persist into the edge of its observable
+    strong-time window, i.e. no settling was seen.
     """
     if not eps_grid:
         return []
@@ -827,16 +801,11 @@ def _gain_violation_scan(
     saturated = [False] * len(eps_grid)
     max_seen = 0.0
     for k in range(trials):
-        rng = np.random.default_rng(seed_path + [k])
-        t0 = float(rng.uniform(0.0, t0_max)) if t0_max > 0 else 0.0
-        norms, sargs, wnorm = _limit_trial(
-            system, family, rng, k, t0, r, _path_seed(seed_path + [k]),
-            horizon, step, gain, math.inf,
-        )
+        norms, sargs, wnorm = _limit_trial(system, family, seed_path + [k], r, cfg, gain, math.inf)
         lhs = _gauge_values(alpha, norms)
         trial_max = float(np.max(sargs)) if sargs.size else 0.0
         max_seen = max(max_seen, trial_max)
-        edge = max(4.0 * step, 0.02 * trial_max)
+        edge = max(4.0 * cfg.step, 0.02 * trial_max)
         for i, eps in enumerate(eps_grid):
             rhs = eps + wnorm
             viol = lhs > rhs + TOL_SCALE * (1.0 + rhs)
@@ -861,138 +830,109 @@ def check_eps_delta_conditions(
     (i) boundedness: on each (T, r, s) cell the largest |x| over the
     samples with strong time at most T, from |x0| <= r and energy <= s.
     (ii) stability at zero: for each eps, a delta such that |x0| <= delta
-    and energy <= delta kept every sample below eps; delta halves until
-    one works.  (iii) convergence: for each (r, eps), the largest strong
-    time where alpha_tilde(|x|) still exceeded eps + energy; saturation
-    of that threshold at the observable window is reported as violated.
+    and energy <= delta kept every sample below eps; delta halves from 1
+    until one works.  (iii) convergence: for each (r, eps), the largest
+    strong time where alpha_tilde(|x|) still exceeded eps + energy;
+    saturation of that threshold at the observable window is reported as
+    violated.
 
-    Items (i) and (ii) simulate only the samples they read (see
-    `_limit_trial`): a trial of (i) stops at the first jump past its
-    strong-time bound T, and a trial of (ii) with |x0| > eps fails
-    unsimulated.  The reports are bit-identical to full-horizon runs.
+    Every trial is `_limit_trial` on its own seed path, [seed, 11, cell,
+    k] for (i), [seed, 22, eps index, level, k] for (ii) and [seed, 33,
+    cell, k] for (iii), so no two trials share jump times; its t0 is
+    uniform on [0, t0_max], or 0 without a draw when t0_max <= 0.  Items
+    (i) and (ii) simulate only the samples they read: a trial of (i)
+    stops at the first jump past its strong-time bound T, and a trial of
+    (ii) with |x0| > eps fails unsimulated.  The reports are
+    bit-identical to full-horizon runs.
 
     ``gain`` prices the sampled inputs' energy; None drives every trial
     with zero input.  ``budget`` is the number of trials per grid cell
     (per level for item ii).  Passing is sampling evidence; violations
     carry data.  ConfigError for a budget below 1, and OutOfRange for an
-    empty grid or an eps that is not positive (NaN too), before anything
-    is simulated.
+    empty grid, an eps that is not positive, a T or s that is negative,
+    or an r that is negative or infinite (NaN in any grid too), before
+    anything is simulated.
     """
     cfg = config
     if budget < 1:
         raise ConfigError("budget must be at least 1")
     if not all(len(grid) for grid in (cfg.T_grid, cfg.r_grid, cfg.s_grid, cfg.eps_grid)):
         raise OutOfRange("every grid needs at least one value")
-    if not all(eps > 0 for eps in cfg.eps_grid):
-        raise OutOfRange("need eps > 0")
+    if not (
+        all(eps > 0 for eps in cfg.eps_grid)
+        and all(v >= 0 for v in (*cfg.T_grid, *cfg.s_grid))
+        and all(0 <= r < math.inf for r in cfg.r_grid)
+    ):
+        raise OutOfRange("need eps > 0, T >= 0, s >= 0 and a finite r >= 0")
 
-    # item i: uniform bound over strong-time sublevels
+    # item i: uniform bound over strong-time sublevels; every grid is
+    # nonempty, so `cell` ends as the last cell's index
     c_grid = {}
-    verdict_i = "pass"
     worst_i = -math.inf
-    details_i: dict = {}
-    cell = 0
-    for T in cfg.T_grid:
-        for r in cfg.r_grid:
-            for s in cfg.s_grid:
-                cmax = 0.0
-                for k in range(budget):
-                    rng = np.random.default_rng([seed, 11, cell, k])
-                    t0 = float(rng.uniform(0.0, cfg.t0_max))
-                    norms, sargs, _ = _limit_trial(
-                        system, family, rng, k, t0, r, _trial_seed(seed, 101 * cell + k),
-                        cfg.horizon, cfg.step, gain, s, T=T,
-                    )
-                    mask = sargs <= T + 1e-12
-                    if np.any(mask):
-                        cmax = max(cmax, float(np.max(norms[mask])))
-                c_grid[f"T={T:g},r={r:g},s={s:g}"] = cmax
-                if cmax >= DIVERGENCE_RADIUS:
-                    verdict_i = "violated"
-                worst_i = max(worst_i, cmax)
-                cell += 1
-    details_i["C"] = c_grid
+    for cell, (T, r, s) in enumerate(itertools.product(cfg.T_grid, cfg.r_grid, cfg.s_grid)):
+        cmax = 0.0
+        for k in range(budget):
+            path = [seed, 11, cell, k]
+            norms, sargs, _ = _limit_trial(system, family, path, r, cfg, gain, s, T=T)
+            mask = sargs <= T + 1e-12
+            if np.any(mask):
+                cmax = max(cmax, float(np.max(norms[mask])))
+        c_grid[f"T={T:g},r={r:g},s={s:g}"] = cmax
+        worst_i = max(worst_i, cmax)
     report_i = CheckReport(
-        verdict=verdict_i,
+        verdict="violated" if worst_i >= DIVERGENCE_RADIUS else "pass",
         kind="eps-delta-bounded",
         worst_margin=worst_i,
-        trials=budget * cell,
-        details=details_i,
+        trials=budget * (cell + 1),
+        details={"C": c_grid},
     )
 
     # item ii: a delta for every eps
     verdict_ii = "pass"
     delta_map = {}
-    details_ii: dict = {}
     trials_ii = 0
     for e_idx, eps in enumerate(cfg.eps_grid):
-        delta = cfg.delta_init
-        found = None
         for level in range(cfg.delta_levels):
-            ok = True
+            delta = 0.5**level
             for k in range(budget):
-                rng = np.random.default_rng([seed, 22, e_idx, level, k])
-                t0 = float(rng.uniform(0.0, cfg.t0_max))
-                norms, _, _ = _limit_trial(
-                    system, family, rng, k, t0, delta,
-                    _trial_seed(seed, 7919 * e_idx + 131 * level + k),
-                    cfg.horizon, cfg.step, gain, delta, eps=eps,
-                )
+                path = [seed, 22, e_idx, level, k]
+                norms, _, _ = _limit_trial(system, family, path, delta, cfg, gain, delta, eps=eps)
                 trials_ii += 1
                 if float(np.max(norms)) > eps:
-                    ok = False
                     break
-            if ok:
-                found = delta
-                break
-            delta *= 0.5
-        delta_map[f"eps={eps:g}"] = found
-        if found is None:
+            else:
+                break  # every trial stayed below eps
+        else:
+            delta = None
             verdict_ii = "violated"
-    details_ii["delta"] = delta_map
+        delta_map[f"eps={eps:g}"] = delta
     report_ii = CheckReport(
         verdict=verdict_ii,
         kind="eps-delta-stability",
         worst_margin=0.0,
         trials=trials_ii,
-        details=details_ii,
+        details={"delta": delta_map},
     )
 
     # item iii: settling of the gauge below eps + energy
     verdict_iii = "pass"
     t_map = {}
     sat_map = {}
-    details_iii: dict = {}
-    cell = 0
-    for r in cfg.r_grid:
-        for eps in cfg.eps_grid:
-            (scan,) = _gain_violation_scan(
-                system,
-                family,
-                cfg.alpha_tilde,
-                gain,
-                r,
-                (eps,),
-                cfg.t0_max,
-                cfg.horizon,
-                cfg.step,
-                budget,
-                [seed, 33, cell],
-            )
-            key = f"r={r:g},eps={eps:g}"
-            t_map[key] = scan.threshold
-            sat_map[key] = scan.saturated
-            if scan.saturated:
-                verdict_iii = "violated"
-            cell += 1
-    details_iii["T"] = t_map
-    details_iii["saturated"] = sat_map
+    for cell, (r, eps) in enumerate(itertools.product(cfg.r_grid, cfg.eps_grid)):
+        (scan,) = _gain_violation_scan(
+            system, family, cfg.alpha_tilde, gain, r, (eps,), cfg, budget, [seed, 33, cell]
+        )
+        key = f"r={r:g},eps={eps:g}"
+        t_map[key] = scan.threshold
+        sat_map[key] = scan.saturated
+        if scan.saturated:
+            verdict_iii = "violated"
     report_iii = CheckReport(
         verdict=verdict_iii,
         kind="eps-delta-convergence",
-        worst_margin=max(t_map.values()) if t_map else 0.0,
-        trials=budget * cell,
-        details=details_iii,
+        worst_margin=max(t_map.values()),
+        trials=budget * (cell + 1),
+        details={"T": t_map, "saturated": sat_map},
     )
     return report_i, report_ii, report_iii
 
@@ -1039,8 +979,7 @@ def _settling_scans(
     eps_grid = [float(eps) for eps in eps_grid]
     return [
         _gain_violation_scan(
-            system, family, alpha, config.gain, float(r), eps_grid,
-            config.t0_max, config.horizon, config.step, budget, [seed, 44],
+            system, family, alpha, config.gain, float(r), eps_grid, config, budget, [seed, 44]
         )
         for r in r_grid
     ]

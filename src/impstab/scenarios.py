@@ -18,15 +18,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .certificates import (
+    _CERT_KIND,
     GuasCertificate,
-    IissCertificate,
     SearchRanges,
-    UbebsCertificate,
     _sides,
     certificate_from_config,
     check_certificate,
@@ -41,8 +41,6 @@ from .sim import Trajectory, simulate
 from .systems import ImpulsiveSystem, system_from_config
 
 DEFAULT_OUT_DIR = "impstab-out"
-
-_CERT_KIND = {GuasCertificate: "guas", UbebsCertificate: "ubebs", IissCertificate: "iiss"}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -112,6 +110,19 @@ def _write_plot_csv(path: str, traj: Trajectory, bounds: np.ndarray) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _search_ranges(cfg) -> SearchRanges:
+    """SearchRanges from a check's "ranges" object; ConfigError naming an
+    unknown key or a value that is not a number."""
+    try:
+        ranges = SearchRanges(**cfg)
+    except TypeError as exc:  # not an object, or an unknown key
+        raise ConfigError(f"bad ranges {cfg!r}: {exc}") from exc
+    for key, val in asdict(ranges).items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"ranges {key!r} must be a number, got {val!r}")
+    return ranges
+
+
 def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
     kind = chk.get("kind")
     if "certificate" not in chk:
@@ -127,7 +138,7 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
         raise ConfigError(f"check kind {kind!r} got a {have} certificate")
 
     if op == "falsify":
-        ranges = SearchRanges(**chk["ranges"]) if chk.get("ranges") else SearchRanges()
+        ranges = _search_ranges(chk.get("ranges") or {})
         rep = falsify(
             cert, system, family, int(chk.get("budget", 200)), ranges, check_seed
         )

@@ -50,7 +50,13 @@ from impstab.errors import (
     NonZeroInput,
     OutOfRange,
 )
-from impstab.impulses import ImpulseSequence, dwell_family, empty_family, periodic_family
+from impstab.impulses import (
+    ImpulseSequence,
+    dwell_family,
+    empty_family,
+    finite_random_family,
+    periodic_family,
+)
 from impstab.inputs import HybridInput, constant_signal, pulse_train, zero_signal
 from impstab.library import (
     decaying_guas_certificate,
@@ -96,10 +102,10 @@ def test_import_leaves_scipy_stats_unloaded():
 @pytest.mark.parametrize("seed", [0, 1, 17, 12345])
 @pytest.mark.parametrize("n", [1, 12, 300])
 def test_halton_matches_scipy(seed, n):
-    """falsify's low-discrepancy points are scipy's scrambled Halton points,
-    bit for bit."""
+    """falsify's low-discrepancy points (t0, |x0|, amplitude) are scipy's
+    3-D scrambled Halton points, bit for bit."""
     qmc = pytest.importorskip("scipy.stats").qmc
-    want = qmc.Halton(d=4, scramble=True, seed=seed).random(n)
+    want = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
     assert np.array_equal(_scrambled_halton(n, seed), want)
 
 
@@ -651,6 +657,27 @@ class TestEpsDelta:
             assert set(cells[:2]).isdisjoint(cells[2:])
         assert set(item_iii[0]).isdisjoint(item_iii[1])
 
+    def test_boundedness_trials_never_share_jump_times(self):
+        """Item i once seeded trial k of cell c with 101 * c + k, so past a
+        budget of 101 trial 101 of cell 0 drew the jump times of trial 0
+        of cell 1; every trial now has its own seed path."""
+        cfg = EpsDeltaConfig(
+            alpha_tilde=identity(),
+            T_grid=(1.0,),
+            r_grid=(0.5,),
+            s_grid=(0.5, 1.0),
+            eps_grid=(1.0,),
+            horizon=0.5,
+            step=0.1,
+            delta_levels=1,
+        )
+        family, seeds = spied(dwell_family(0.3, 1.0))
+        check_eps_delta_conditions(
+            get_example("lin-contract"), None, family, cfg, budget=102, seed=0
+        )
+        item_i = seeds[:204]  # 2 cells x 102 trials, drawn first
+        assert len(set(item_i)) == 204
+
     def test_no_convergence_flagged(self):
         cfg = EpsDeltaConfig(
             alpha_tilde=identity(),
@@ -689,13 +716,20 @@ class TestEpsDelta:
     @pytest.mark.parametrize(
         "grids",
         [{"T_grid": ()}, {"r_grid": ()}, {"s_grid": ()}, {"eps_grid": ()},
-         {"eps_grid": (0.0,)}, {"eps_grid": (0.5, -0.1)}, {"eps_grid": (math.nan,)}],
-        ids=["empty-T", "empty-r", "empty-s", "empty-eps", "zero-eps", "negative-eps", "nan-eps"],
+         {"eps_grid": (0.0,)}, {"eps_grid": (0.5, -0.1)}, {"eps_grid": (math.nan,)},
+         {"T_grid": (math.nan,)}, {"T_grid": (2.0, -1.0)},
+         {"s_grid": (math.nan,)}, {"s_grid": (-0.5,)},
+         {"r_grid": (math.nan,)}, {"r_grid": (math.inf,)}, {"r_grid": (-1.0,)}],
+        ids=["empty-T", "empty-r", "empty-s", "empty-eps", "zero-eps", "negative-eps", "nan-eps",
+             "nan-T", "negative-T", "nan-s", "negative-s", "nan-r", "inf-r", "negative-r"],
     )
     def test_degenerate_grids_rejected(self, grids):
         """An empty T, r or s grid once left item i's worst margin at -inf,
         which json.dumps writes as the non-JSON -Infinity, and eps = 0 ran
-        to a "violated" item ii; both are refused before any step."""
+        to a "violated" item ii.  A NaN or negative T passed item i with
+        every C = 0.0 and nothing read, a NaN s drove zero input, and a
+        NaN or infinite r raised NonFiniteState from simulate.  All are
+        refused before any step."""
         calls = []
 
         def flow(t, x, u):
@@ -735,8 +769,8 @@ class TestEpsDelta:
         assert all(end < cfg.horizon for end in ends[:12])  # item i comes first
         del ends[:], profiles[:]
         norms, sargs, energy = _limit_trial(
-            get_example("lin-contract"), periodic_family(0.5), np.random.default_rng(0), 0,
-            0.0, 1.0, 0, cfg.horizon, cfg.step, (identity(), identity()), 1.0, eps=0.5,
+            get_example("lin-contract"), periodic_family(0.5), [0], 1.0, cfg,
+            (identity(), identity()), 1.0, eps=0.5,
         )
         assert norms.tolist() == [1.0] and sargs.tolist() == [0.0] and energy == 0.0
         assert ends == profiles == []
@@ -921,6 +955,55 @@ def test_pinned_limit_report_digest():
     )
 
 
+def falsify_report_digest() -> str:
+    """sha256 over 30 budget-12 falsify reports (every trial style and
+    adversarial variant) and every trajectory they simulated: lin-contract
+    against its gain certificate and the derived decay and overshoot
+    certificates, double-jump against an unsound decay claim, and a 2-d
+    system against an energy bound, each at seeds 0 and 17 under
+    periodic, dwell, empty and finite-random jumps."""
+    h = hashlib.sha256()
+    simulate = certificates.simulate
+
+    def spied(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        u = traj.input_used.u
+        for arr in (traj.times, traj.states, traj.jumps, u.breakpoints, u.values):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        return traj
+
+    gain = lin_contract_iiss_certificate()
+    runs = [
+        (cert, get_example("lin-contract"), family)
+        for cert in (gain, derive_guas_from_iiss(gain), derive_ubebs_from_iiss(gain))
+        for family in (periodic_family(0.5), dwell_family(0.3, 1.0), finite_random_family(4, 3.0))
+    ]
+    runs += [
+        (decaying_guas_certificate(3.0, 0.5), get_example("double-jump"), family)
+        for family in (periodic_family(0.5), empty_family(), dwell_family(0.3, 1.0))
+    ]
+    runs += [
+        (UbebsCertificate(identity(), identity(), power(2.0), 0.5), planar_system(), family)
+        for family in (empty_family(), periodic_family(0.5), finite_random_family(4, 3.0))
+    ]
+    ranges = SearchRanges(horizon=4.0, step=0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "simulate", spied)
+        for cert, system, family in runs:
+            for seed in (0, 17):
+                rep = falsify(cert, system, family, 12, ranges, seed)
+                h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_pinned_falsify_digest():
+    """Every bit of these falsify searches, their trial draws included, is
+    as it was before the trial draw was written once per style."""
+    assert falsify_report_digest() == (
+        "4ba204c3a7e61ec5327320b8c0883d7ef5c1c18c4144d259949fab53df79db0c"
+    )
+
+
 LIMIT_TRIAL_SYSTEMS = [
     (get_example("lin-contract"), (identity(), identity())),
     (planar_system(), (saturating(2.0), power(2.0))),
@@ -932,7 +1015,7 @@ LIMIT_TRIAL_SYSTEMS = [
 @given(
     st.sampled_from(LIMIT_TRIAL_SYSTEMS),
     st.sampled_from([empty_family(), periodic_family(0.5), dwell_family(0.3, 1.0)]),
-    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),  # t0_max; 0.0 takes t0 = 0 undrawn
     st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]), st.floats(-2.0, 30.0)),
     st.floats(0.1, 3.0),
     st.floats(0.0, 2.0),
@@ -942,19 +1025,17 @@ LIMIT_TRIAL_SYSTEMS = [
     st.integers(0, 1000),
 )
 def test_cut_limit_trial_reads_full_horizon_bits(
-    system_gain, family, t0, T, r, s, eps_over_r, priced, k, seed
+    system_gain, family, t0_max, T, r, s, eps_over_r, priced, k, seed
 ):
     """A boundedness trial cut at its strong-time bound T keeps, bit for
     bit, the full-horizon trial's check points with strong time at most
     T, and its energy; a stability trial decided at |x0| > eps has the
     full trial's verdict, and one not decided there is the full trial."""
     system, gain = system_gain
+    cfg = SettlingConfig(t0_max=t0_max, horizon=8.0, step=0.05)
 
     def trial(**cut):
-        rng = np.random.default_rng([seed, k])
-        return _limit_trial(
-            system, family, rng, k, t0, r, seed, 8.0, 0.05, gain if priced else None, s, **cut
-        )
+        return _limit_trial(system, family, [seed, k], r, cfg, gain if priced else None, s, **cut)
 
     norms, sargs, energy = trial()
     cut_norms, cut_sargs, cut_energy = trial(T=T)

@@ -237,6 +237,27 @@ class TestRun:
         assert main(["run", "/no/such/scenario.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ranges", [{"steps": 0.1}, {"step": "x"}])
+    def test_bad_search_ranges(self, tmp_path, capsys, ranges):
+        """A bad ranges key or value is an error line and exit 1, not a
+        TypeError traceback."""
+        scenario = {
+            "system": "lin-contract",
+            "checks": [
+                {
+                    "kind": "falsify-guas",
+                    "budget": 2,
+                    "ranges": ranges,
+                    "certificate": json.loads(GUAS_TIGHT),
+                }
+            ],
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ranges" in err
+
 
 class TestEpsDelta:
     def test_frozen_state_convergence_violated(self, capsys):

@@ -163,6 +163,32 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             load_scenario(arr)
 
+    @pytest.mark.parametrize(
+        "ranges, named",
+        [({"steps": 0.1}, "'steps'"), ({"step": "x"}, "'x'"), ({"horizon": True}, "True"),
+         ([1.0], "mapping")],
+        ids=["unknown-key", "string-value", "bool-value", "not-an-object"],
+    )
+    def test_bad_search_ranges(self, tmp_path, ranges, named):
+        """An unknown ranges key once raised TypeError from SearchRanges,
+        and a string value a TypeError deep inside falsify."""
+        scenario = {
+            "system": "lin-contract",
+            "checks": [
+                {
+                    "kind": "falsify-guas",
+                    "budget": 2,
+                    "ranges": ranges,
+                    "certificate": {
+                        "kind": "guas",
+                        "beta": {"kind": "exp-decay", "amp": 1.0, "rate": 0.5},
+                    },
+                }
+            ],
+        }
+        with pytest.raises(ConfigError, match=named):
+            run_scenario(scenario, str(tmp_path))
+
     def test_unknown_builtin_system(self, tmp_path):
         with pytest.raises(ConfigError):
             run_scenario({"system": "mystery", "checks": []}, str(tmp_path))
