@@ -419,13 +419,33 @@ def certificate_from_config(cfg: dict) -> Certificate:
 
 @dataclass(frozen=True)
 class SearchRanges:
-    """Bounds on the quantifier space a falsification run explores."""
+    """Bounds on the quantifier space a falsification run explores.
+
+    OutOfRange for a bound that is NaN, infinite or negative, or a horizon
+    or step that is not positive.
+    """
 
     t0_max: float = 2.0
     x0_max: float = 5.0
     u_amp_max: float = 2.0
     horizon: float = 10.0
     step: float = 1e-2
+
+    def __post_init__(self):
+        _check_fields(
+            self, nonneg=("t0_max", "x0_max", "u_amp_max"), positive=("horizon", "step")
+        )
+
+
+def _check_fields(cfg, nonneg: tuple[str, ...], positive: tuple[str, ...]) -> None:
+    """OutOfRange naming the field unless every field in ``nonneg`` is
+    finite and at least 0 and every field in ``positive`` finite and
+    above 0; NaN fails both."""
+    for name in nonneg + positive:
+        v = getattr(cfg, name)
+        if not (math.isfinite(v) and (v > 0 if name in positive else v >= 0)):
+            want = "> 0" if name in positive else ">= 0"
+            raise OutOfRange(f"{type(cfg).__name__}.{name} must be finite and {want}, got {v!r}")
 
 
 def _direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -659,7 +679,9 @@ class EpsDeltaConfig:
     alpha_tilde is the candidate gauge for the convergence condition;
     the energy of sampled inputs is measured over the whole simulated
     window, which for generator-backed sequences means every jump up to
-    the trial horizon contributes.
+    the trial horizon contributes.  OutOfRange for a t0_max or horizon
+    that is NaN, infinite or negative, a step that is not positive, or
+    fewer than one delta level.
     """
 
     alpha_tilde: ComparisonFn
@@ -672,6 +694,17 @@ class EpsDeltaConfig:
     step: float = 1e-2
     delta_levels: int = 16
 
+    def __post_init__(self):
+        _check_fields(self, nonneg=("t0_max", "horizon"), positive=("step",))
+        if not self.delta_levels >= 1:
+            raise OutOfRange(
+                f"EpsDeltaConfig.delta_levels must be at least 1, got {self.delta_levels!r}"
+            )
+
+
+# the energy cap's factors are k / _CAP_GRID for k = 0.._CAP_GRID
+_CAP_GRID = 2**40
+
 
 def _scaled_to_energy(
     sig: InputSignal,
@@ -683,10 +716,24 @@ def _scaled_to_energy(
 ) -> tuple[InputSignal, float]:
     """Scale a signal so its energy over (t0, t_end] is at most target.
 
-    Returns the scaled signal and its energy.  Forty bisection steps on
-    the factor, each priced by `EnergyProfile.scaled_total` on one
-    profile; the energy returned is the one priced when the kept factor
-    was set, and is priced afresh only if the factor stayed at 0.0.
+    Returns the scaled signal and its energy.  A signal within the target
+    is kept whole; otherwise the factor is k / 2**40 for the largest k
+    below 2**40 whose `EnergyProfile.scaled_total` is at most target (0.0
+    when there is none), and the energy is that factor's scaled total.
+
+    One search on the grid finds k.  It keeps a bracket lo < hi, lo priced
+    at most target (or 0, unpriced) and hi above it, and takes a secant
+    step between the bracket ends, pricing k + 1 too after a hit at k;
+    a step that did not halve the bracket is followed by a halving step,
+    so the bracket halves at least every two steps.  Where the energy is
+    linear in the factor, as with identity gauges, it prices three
+    factors: 1, k and k + 1.
+
+    Scope: where scaled_total is nondecreasing in the factor, as it is
+    for every stock gauge, k is unique, so the factor and energy are bit
+    for bit those of 40 bisection steps on [0, 1].  For a gauge whose
+    evaluation decreases somewhere the energy is still at most target,
+    but the factor may be another one.
     """
     if target <= 0.0 or sig.is_zero():
         return zero_signal(sig.dim), 0.0
@@ -694,20 +741,29 @@ def _scaled_to_energy(
     base = profile.scaled_total(1.0)
     if base <= target:
         return sig, base
-    # a scalar loop, not comparison._bisect: for one bracket, numpy's call
-    # overhead makes 40 masked steps cost about 250 us against about 3 us
-    # here (pricing aside), and this runs once per sampled input
-    lo, hi, lo_total = 0.0, 1.0, None
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        total = profile.scaled_total(mid)
-        if total <= target:
-            lo, lo_total = mid, total
+    lo, hi = 0, _CAP_GRID
+    lo_total, hi_total = 0.0, base  # the 0.0 at lo = 0 only steers the secant
+    halve = False
+    while hi - lo > 1:
+        width = hi - lo
+        frac = (target - lo_total) / (hi_total - lo_total)
+        if halve or not 0.0 <= frac < 1.0:  # a NaN total, or rounding, halves
+            tries = ((lo + hi) // 2,)
         else:
-            hi = mid
-    if lo_total is None:
-        lo_total = profile.scaled_total(lo)
-    return sig.scaled(lo), lo_total
+            k = min(max(lo + int(frac * width), lo + 1), hi - 1)
+            tries = (k, k + 1)
+        for k in tries:
+            if k >= hi:
+                break
+            total = profile.scaled_total(k / _CAP_GRID)
+            if not total <= target:
+                hi, hi_total = k, total
+                break
+            lo, lo_total = k, total
+        halve = not halve and 2 * (hi - lo) > width
+    if lo == 0:
+        lo_total = profile.scaled_total(0.0)
+    return sig.scaled(lo / _CAP_GRID), lo_total
 
 
 def _limit_trial(
@@ -850,8 +906,9 @@ def check_eps_delta_conditions(
     (per level for item ii).  Passing is sampling evidence; violations
     carry data.  ConfigError for a budget below 1, and OutOfRange for an
     empty grid, an eps that is not positive, a T or s that is negative,
-    or an r that is negative or infinite (NaN in any grid too), before
-    anything is simulated.
+    or an r that is negative or infinite (NaN in any grid too), or two
+    values of one grid that print alike under :g, before anything is
+    simulated: the report keys print grid values that way.
     """
     cfg = config
     if budget < 1:
@@ -864,6 +921,11 @@ def check_eps_delta_conditions(
         and all(0 <= r < math.inf for r in cfg.r_grid)
     ):
         raise OutOfRange("need eps > 0, T >= 0, s >= 0 and a finite r >= 0")
+    # two values printing alike would share a report key, dropping a cell
+    for name in ("T_grid", "r_grid", "s_grid", "eps_grid"):
+        grid = getattr(cfg, name)
+        if len({f"{v:g}" for v in grid}) < len(grid):
+            raise OutOfRange(f"{name} has values that print alike (:g), so report keys collide")
 
     # item i: uniform bound over strong-time sublevels; every grid is
     # nonempty, so `cell` ends as the last cell's index
@@ -939,12 +1001,19 @@ def check_eps_delta_conditions(
 
 @dataclass(frozen=True)
 class SettlingConfig:
-    """Trial set-up for settling estimates; a gain of None means zero input."""
+    """Trial set-up for settling estimates; a gain of None means zero input.
+
+    OutOfRange for a t0_max or horizon that is NaN, infinite or negative,
+    or a step that is not positive.
+    """
 
     gain: tuple[ComparisonFn, ComparisonFn] | None = None
     t0_max: float = 0.0
     horizon: float = 12.0
     step: float = 1e-2
+
+    def __post_init__(self):
+        _check_fields(self, nonneg=("t0_max", "horizon"), positive=("step",))
 
 
 @dataclass

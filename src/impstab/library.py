@@ -13,7 +13,8 @@ import math
 
 from .certificates import GuasCertificate, IissCertificate
 from .comparison import exp_decay_kl, identity
-from .systems import ALEnvelope, ImpulsiveSystem, system_from_config
+from .errors import OutOfRange
+from .systems import ALEnvelope, ImpulsiveSystem, compile_map, system_from_config
 
 EXAMPLE_CONFIGS = {
     "lin-contract": {
@@ -82,25 +83,23 @@ def make_linear_system(
 ) -> ImpulsiveSystem:
     """Scalar system dx = a*x + u between jumps, x -> jump_factor * x at jumps.
 
-    Hand-coded maps (no expression layer), used where the closed-form
-    solution serves as an oracle.
+    Its maps are built by `compile_map` from the exact reprs of a and
+    jump_factor - 1, so the simulator writes the flow into its fused
+    kernel; the closed-form solution serves as an oracle for it.
+    OutOfRange naming the argument when a or jump_factor is not finite.
     """
     aa = float(a)
     jf = float(jump_factor)
-
-    def flow(t, x, u):
-        return (aa * x[0] + u[0],)
-
-    def jump(t, x, u):
-        return ((jf - 1.0) * x[0],)
-
+    for arg, v in (("a", aa), ("jump_factor", jf)):
+        if not math.isfinite(v):
+            raise OutOfRange(f"make_linear_system: {arg} must be finite, got {v!r}")
     gain = identity()
     return ImpulsiveSystem(
         name=name or f"linear(a={aa:g}, jf={jf:g})",
         dim_x=1,
         dim_u=1,
-        flow=flow,
-        jump=jump,
+        flow=compile_map([f"{aa!r} * x1 + u1"], 1, 1),
+        jump=compile_map([f"{jf - 1.0!r} * x1"], 1, 1),
         al_envelope_f=ALEnvelope(lambda r: abs(aa) * r + 1.0, gain),
         al_envelope_g=ALEnvelope(lambda r: abs(jf - 1.0) * r, gain),
     )

@@ -57,7 +57,7 @@ from impstab.impulses import (
     finite_random_family,
     periodic_family,
 )
-from impstab.inputs import HybridInput, constant_signal, pulse_train, zero_signal
+from impstab.inputs import EnergyProfile, HybridInput, constant_signal, pulse_train, zero_signal
 from impstab.library import (
     decaying_guas_certificate,
     get_example,
@@ -66,7 +66,7 @@ from impstab.library import (
     pure_jump_weak_certificate,
 )
 from impstab.sim import simulate
-from impstab.systems import ImpulsiveSystem, system_from_config
+from impstab.systems import ImpulsiveSystem, map_source, system_from_config
 
 LN_100 = 4.605170185988092  # settling of dx/dt = -x from r=10 to eps=0.1
 
@@ -155,6 +155,58 @@ class TestCertificateTypes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             certificate_from_config({"kind": "stability"})
+
+
+BAD_SCALARS = [math.nan, math.inf, -1.0]
+LIMIT_FIELDS = ["t0_max", "horizon", "step"]
+RANGES_FIELDS = ["t0_max", "x0_max", "u_amp_max", "horizon", "step"]
+
+
+class TestConfigScalars:
+    """Each config checks its scalars once, on construction.  At first a
+    NaN t0_max raised numpy's OverflowError from the first trial and a
+    negative horizon a ValueError, and neither config looked at them."""
+
+    @pytest.mark.parametrize("value", BAD_SCALARS, ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", LIMIT_FIELDS)
+    def test_eps_delta_config_rejects(self, name, value):
+        with pytest.raises(OutOfRange, match=name):
+            EpsDeltaConfig(alpha_tilde=identity(), **{name: value})
+
+    @pytest.mark.parametrize("value", BAD_SCALARS, ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", LIMIT_FIELDS)
+    def test_settling_config_rejects(self, name, value):
+        with pytest.raises(OutOfRange, match=name):
+            SettlingConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", BAD_SCALARS, ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", RANGES_FIELDS)
+    def test_search_ranges_reject(self, name, value):
+        with pytest.raises(OutOfRange, match=name):
+            SearchRanges(**{name: value})
+
+    def test_zero_step_rejected(self):
+        for make in (lambda: EpsDeltaConfig(alpha_tilde=identity(), step=0.0),
+                     lambda: SettlingConfig(step=0.0), lambda: SearchRanges(step=0.0)):
+            with pytest.raises(OutOfRange, match="step"):
+                make()
+
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_delta_levels_below_one_rejected(self, levels):
+        """delta_levels=0 once reported item ii "violated" on 0 trials."""
+        with pytest.raises(OutOfRange, match="delta_levels"):
+            EpsDeltaConfig(alpha_tilde=identity(), delta_levels=levels)
+
+    def test_zero_search_horizon_rejected(self):
+        """A falsify run with horizon 0 once passed on trials that read
+        only the t0 sample."""
+        with pytest.raises(OutOfRange, match="horizon"):
+            SearchRanges(horizon=0.0)
+
+    def test_zero_start_range_stays_valid(self):
+        assert SettlingConfig(t0_max=0.0).t0_max == 0.0
+        assert EpsDeltaConfig(alpha_tilde=identity(), t0_max=0.0, horizon=0.0).horizon == 0.0
+        assert SearchRanges(t0_max=0.0, x0_max=0.0, u_amp_max=0.0).x0_max == 0.0
 
 
 class TestCheckPoints:
@@ -719,16 +771,21 @@ class TestEpsDelta:
          {"eps_grid": (0.0,)}, {"eps_grid": (0.5, -0.1)}, {"eps_grid": (math.nan,)},
          {"T_grid": (math.nan,)}, {"T_grid": (2.0, -1.0)},
          {"s_grid": (math.nan,)}, {"s_grid": (-0.5,)},
-         {"r_grid": (math.nan,)}, {"r_grid": (math.inf,)}, {"r_grid": (-1.0,)}],
+         {"r_grid": (math.nan,)}, {"r_grid": (math.inf,)}, {"r_grid": (-1.0,)},
+         {"T_grid": (2.0, 2.0000001)}, {"r_grid": (0.5, 0.5)}, {"s_grid": (1e-7, 1.0000001e-7)},
+         {"eps_grid": (0.2, 0.20000001)}],
         ids=["empty-T", "empty-r", "empty-s", "empty-eps", "zero-eps", "negative-eps", "nan-eps",
-             "nan-T", "negative-T", "nan-s", "negative-s", "nan-r", "inf-r", "negative-r"],
+             "nan-T", "negative-T", "nan-s", "negative-s", "nan-r", "inf-r", "negative-r",
+             "alike-T", "alike-r", "alike-s", "alike-eps"],
     )
     def test_degenerate_grids_rejected(self, grids):
         """An empty T, r or s grid once left item i's worst margin at -inf,
         which json.dumps writes as the non-JSON -Infinity, and eps = 0 ran
         to a "violated" item ii.  A NaN or negative T passed item i with
         every C = 0.0 and nothing read, a NaN s drove zero input, and a
-        NaN or infinite r raised NonFiniteState from simulate.  All are
+        NaN or infinite r raised NonFiniteState from simulate.  Report keys
+        print grid values with :g, so T_grid=(2.0, 2.0000001) reported 4
+        trials but one C entry, a cell's result silently dropped.  All are
         refused before any step."""
         calls = []
 
@@ -741,6 +798,30 @@ class TestEpsDelta:
         with pytest.raises(OutOfRange):
             check_eps_delta_conditions(counted, None, empty_family(), cfg, budget=1)
         assert calls == []
+
+    def test_benchmark_cap_prices_at_most_three_factors(self, monkeypatch):
+        """Under identity gains the energy is linear in the factor, so the
+        cap's search prices 1, k and k + 1 at most, where 40 bisection steps
+        priced 41 factors per capped input.  A count, not a timing."""
+        priced = {}
+        scaled_total = EnergyProfile.scaled_total
+
+        def spied(profile, c):
+            priced.setdefault(profile, []).append(c)
+            return scaled_total(profile, c)
+
+        monkeypatch.setattr(EnergyProfile, "scaled_total", spied)
+        cfg = EpsDeltaConfig(alpha_tilde=identity())
+        for seed in range(3):
+            check_eps_delta_conditions(
+                get_example("lin-contract"), (identity(), identity()), periodic_family(0.5),
+                cfg, budget=1, seed=seed,
+            )
+        capped = [factors for factors in priced.values() if len(factors) > 1]
+        assert len(capped) >= 10
+        assert all(len(factors) <= 3 and factors[0] == 1.0 for factors in capped)
+        # the settling half runs its flow in the fused kernel
+        assert map_source(make_linear_system(-1.0, 1.0).flow) is not None
 
     def test_benchmark_call_simulates_only_what_its_verdicts_read(self, monkeypatch):
         """A budget-1 call on lin-contract under 0.5-periodic jumps makes 18

@@ -13,9 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impstab.certificates import _scaled_to_energy
-from impstab.comparison import identity, linear, log_growth, power
-from impstab.impulses import ImpulseSequence
-from impstab.inputs import EnergyProfile, HybridInput, InputSignal, energy_norm, truncate
+from impstab.comparison import compose, identity, linear, log_growth, power, saturating
+from impstab.impulses import ImpulseSequence, dwell_family, empty_family, periodic_family
+from impstab.inputs import (
+    EnergyProfile,
+    HybridInput,
+    InputSignal,
+    energy_norm,
+    truncate,
+    zero_signal,
+)
 
 GAUGES = [identity(), power(2.0), power(0.5, 3.0), linear(2.5), log_growth(1.5)]
 
@@ -104,3 +111,71 @@ def test_scaled_to_energy_meets_target(w, gain, window, target):
     assert energy <= target
     assert energy == energy_norm(HybridInput(u, w.sigma), *gain, t0, horizon)
     assert math.isfinite(energy)
+
+
+# the six stock gauges of the cap check and a non-homogeneous compose of two
+CAP_GAUGES = [
+    identity(),
+    power(2.0),
+    power(0.5),
+    saturating(2.0),
+    log_growth(1.5),
+    linear(3.0),
+    compose(power(2.0), log_growth(1.0)),
+]
+CAP_FAMILIES = [periodic_family(0.5), dwell_family(0.3, 1.0), empty_family()]
+
+
+def bisected_cap(sig, sigma, gain, t0, t_end, target):
+    """The cap by 40 bisection steps on the factor in [0, 1], each priced
+    by `EnergyProfile.scaled_total`: the reference the search must match."""
+    if target <= 0.0 or sig.is_zero():
+        return zero_signal(sig.dim), 0.0
+    profile = EnergyProfile(HybridInput(sig, sigma), *gain, t0, t_end)
+    base = profile.scaled_total(1.0)
+    if base <= target:
+        return sig, base
+    lo, hi, lo_total = 0.0, 1.0, None
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        total = profile.scaled_total(mid)
+        if total <= target:
+            lo, lo_total = mid, total
+        else:
+            hi = mid
+    if lo_total is None:
+        lo_total = profile.scaled_total(lo)
+    return sig.scaled(lo), lo_total
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.lists(times(0.0, 12.0), min_size=1, max_size=5).map(lambda ts: sorted(set(ts))),
+    st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=5, max_size=5),
+    st.sampled_from(CAP_GAUGES),
+    st.sampled_from(CAP_GAUGES),
+    st.sampled_from(CAP_FAMILIES),
+    st.integers(0, 1000),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_cap_search_is_the_bisection(bps, vals, rho1, rho2, family, seed, t0, share):
+    """Factor and energy of the cap are bit for bit those of 40 bisection
+    steps, for targets from just above 0 up to the uncapped energy.  A
+    share of 0 stands for a target below the energy at factor 2**-40,
+    which gives the factor 0.0."""
+    sig = InputSignal(np.array(bps), np.array(vals[: len(bps)]))
+    t_end = t0 + 12.0
+    sigma = family.sampler(seed, t_end + 1.0)
+    gain = (rho1, rho2)
+    profile = EnergyProfile(HybridInput(sig, sigma), *gain, t0, t_end)
+    if share == 0.0:
+        target = 0.5 * profile.scaled_total(2.0**-40)
+    else:
+        target = share * profile.scaled_total(1.0)
+    u, energy = _scaled_to_energy(sig, sigma, gain, t0, t_end, target)
+    ref_u, ref_energy = bisected_cap(sig, sigma, gain, t0, t_end, target)
+    assert u.values.tobytes() == ref_u.values.tobytes()
+    assert energy == ref_energy
+    if share == 0.0 and target > 0.0:
+        assert not np.any(u.values)

@@ -1,9 +1,12 @@
 """Built-in example systems and their reference certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from impstab.certificates import GuasCertificate, IissCertificate
+from impstab.errors import OutOfRange
 from impstab.impulses import ImpulseSequence
 from impstab.inputs import HybridInput, zero_signal
 from impstab.library import (
@@ -16,7 +19,7 @@ from impstab.library import (
     pure_jump_weak_certificate,
 )
 from impstab.sim import simulate
-from impstab.systems import check_al_bound
+from impstab.systems import check_al_bound, map_source
 
 
 class TestExamples:
@@ -49,6 +52,22 @@ class TestLinearFactory:
         assert sys1.flow(0.0, [3.0], (1.0,)) == (-5.0,)
         # increment form: jump adds (factor - 1) x
         assert sys1.jump(0.0, [4.0], (0.0,)) == (-3.0,)
+
+    def test_maps_compiled_from_exact_reprs(self):
+        """The maps are expressions over the arguments' exact reprs, so the
+        simulator writes the flow into its fused kernel."""
+        sys1 = make_linear_system(-0.1, 1e30)
+        assert map_source(sys1.flow).exprs == ("-0.1 * x1 + u1",)
+        assert map_source(sys1.jump).exprs == ("1e+30 * x1",)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["a", "jump_factor"])
+    def test_nonfinite_arguments_rejected(self, arg, bad):
+        """A NaN or infinite coefficient once built a system silently; as an
+        expression its repr would read as an unknown name."""
+        args = {"a": -1.0, "jump_factor": 0.5, arg: bad}
+        with pytest.raises(OutOfRange, match=arg):
+            make_linear_system(**args)
 
     def test_factory_envelopes_hold(self):
         sys1 = make_linear_system(-1.5, 0.3, name="probe")
