@@ -566,7 +566,10 @@ def falsify(
     master seed; otherwise reports a pass with the trial count.  Trials
     cycle uniform random, low-discrepancy, and adversarial presets
     (corner initial states, pulses synchronized with jump times, start
-    times hugging a jump, constant worst-amplitude input).
+    times hugging a jump, constant worst-amplitude input).  The
+    low-discrepancy table comes from its own generator seeded by ``seed``
+    and is drawn only when a low-discrepancy trial runs, so a search that
+    stops at trial 0 never builds it.
     """
     if budget < 1:
         raise ConfigError("budget must be at least 1")
@@ -574,7 +577,7 @@ def falsify(
         raise ConfigError("seed must be nonnegative")
     zero_only = isinstance(cert, GuasCertificate)
     kind = f"falsify-{_CERT_KIND[type(cert)]}"
-    halton = _scrambled_halton(budget, seed)
+    halton = None  # drawn at the first low-discrepancy trial
     maxes = (ranges.t0_max, ranges.x0_max, ranges.u_amp_max)
     worst = -math.inf
     inconclusive = 0
@@ -587,6 +590,8 @@ def falsify(
         if style == 0:
             t0, x0n, amp = (float(rng.uniform(0.0, m)) for m in maxes)
         elif style == 1:
+            if halton is None:
+                halton = _scrambled_halton(budget, seed)
             t0, x0n, amp = (float(v * m) for v, m in zip(halton[trial], maxes))
         else:
             t0, x0n, amp = 0.0, ranges.x0_max, ranges.u_amp_max

@@ -13,6 +13,7 @@ Inversion and the weak-to-strong lift share one masked bisection,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +41,20 @@ INVERT_MAX_ITER = 1200
 _GROWTH_RATIO = 1.0 + 1e-4
 
 
+@functools.lru_cache(maxsize=128)
+def _cached_geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    grid = np.geomspace(lo, hi, n)
+    grid.flags.writeable = False
+    return grid
+
+
+def _probe_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` from a cache, as a fresh copy: an
+    evaluator that writes into its argument cannot change the grid a
+    later validation probes."""
+    return _cached_geomspace(float(lo), float(hi), n).copy()
+
+
 @dataclass(frozen=True)
 class ComparisonFn:
     """A scalar function declared to lie in class K or K-infinity.
@@ -62,6 +77,8 @@ class ComparisonFn:
     def validate(self) -> None:
         """Probe zero-at-zero, strict increase, and (for Kinf) growth.
 
+        The logarithmic probe grids come from `_probe_grid`, computed once
+        per (lo, hi, n) and handed to the evaluator as fresh copies.
         Raises ClassViolation with the offending sample in the message.
         """
         if self.declared_class not in ("K", "Kinf"):
@@ -71,7 +88,7 @@ class ComparisonFn:
         v0 = float(self.evaluator(0.0))
         if not math.isfinite(v0) or abs(v0) > 1e-12:
             raise ClassViolation(f"{self._label()}: value at 0 is {v0!r}, expected 0")
-        grid = np.geomspace(1e-9, self.domain_hint, GRID_POINTS)
+        grid = _probe_grid(1e-9, self.domain_hint, GRID_POINTS)
         vals = eval_array(self, grid)
         if not np.all(np.isfinite(vals)):
             raise ClassViolation(f"{self._label()}: non-finite value on the probe grid")
@@ -87,7 +104,7 @@ class ComparisonFn:
             self._check_growth(float(vals[-1]))
 
     def _check_growth(self, value_at_hint: float) -> None:
-        ext = np.geomspace(self.domain_hint, self.domain_hint * 1e9, 10)
+        ext = _probe_grid(self.domain_hint, self.domain_hint * 1e9, 10)
         try:
             with np.errstate(over="ignore"):
                 vals = eval_array(self, ext)
@@ -129,9 +146,11 @@ class KLFn:
         return self.evaluator(r, s)
 
     def validate(self) -> None:
-        """Check the KL shape on a 20x20 logarithmic grid."""
-        r_grid = np.geomspace(1e-6, self.r_hint, 20)
-        s_grid = np.concatenate(([0.0], np.geomspace(1e-6, self.s_hint, 19)))
+        """Check the KL shape on a 20x20 logarithmic grid, and each of
+        three r-slices as a K-infinity function; every grid comes from
+        `_probe_grid`, so a repeat validation computes none."""
+        r_grid = _probe_grid(1e-6, self.r_hint, 20)
+        s_grid = np.concatenate(([0.0], _probe_grid(1e-6, self.s_hint, 19)))
         # fast decay underflows to exactly 0 at large s, where strict
         # increase in r is unobservable; validate the increase at the
         # largest s that still yields representable values

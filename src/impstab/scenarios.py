@@ -44,10 +44,13 @@ DEFAULT_OUT_DIR = "impstab-out"
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path whole or not at all: through a temp file in the
+    same directory and `os.replace`, with no newline translation.  On any
+    error the temp file is removed and path keeps its old contents."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -104,9 +107,11 @@ def _bound_series(cert, traj: Trajectory) -> np.ndarray:
 
 
 def _write_plot_csv(path: str, traj: Trajectory, bounds: np.ndarray) -> None:
+    """Write ``t,state_norm,bound`` rows, one per sample, as ``repr`` of
+    the Python floats with ``"\\n"`` row ends, atomically."""
     lines = ["t,state_norm,bound"]
-    for t, n, b in zip(traj.times, traj.norms(), bounds):
-        lines.append(f"{float(t)!r},{float(n)!r},{float(b)!r}")
+    for row in zip(traj.times.tolist(), traj.norms().tolist(), bounds.tolist()):
+        lines.append(",".join(map(repr, row)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -188,7 +193,7 @@ def run_scenario(scenario, out_dir: str | None = None) -> dict:
         if traj is not None:
             traj_name = f"{cid}-trajectory.csv"
             plot_name = f"{cid}-plot.csv"
-            traj.to_csv(os.path.join(out, traj_name))
+            _atomic_write(os.path.join(out, traj_name), traj.csv_text())
             _write_plot_csv(os.path.join(out, plot_name), traj, _bound_series(cert, traj))
             entry["trajectory_csv"] = traj_name
             entry["plot_csv"] = plot_name

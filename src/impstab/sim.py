@@ -26,7 +26,6 @@ of the state dimension raises InvalidSystem.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -74,19 +73,31 @@ class Trajectory:
     def pre_states(self) -> dict[float, np.ndarray]:
         return dict(zip(self.jumps.tolist(), self.x_pre))
 
+    def csv_text(self) -> str:
+        """The trajectory as CSV: a header ``t,x1,..,xn,is_post_jump``,
+        then one row per sample, except that a jump time after t0 gets a
+        pre-jump row (flag 0) then a post-jump row (flag 1).  Numbers are
+        written as ``repr`` of the Python float, so they read back exactly;
+        rows end in ``"\\r\\n"``."""
+        pre = dict(zip(self.jumps.tolist(), self.x_pre.tolist()))
+        t0 = self.t0
+        lines = [",".join(["t", *(f"x{i + 1}" for i in range(self.dim)), "is_post_jump"])]
+        for t, row in zip(self.times.tolist(), self.states.tolist()):
+            line = ",".join(map(repr, [t, *row]))
+            if t in pre and t > t0:
+                lines.append(",".join(map(repr, [t, *pre[t]])) + ",0")
+                lines.append(line + ",1")
+            else:
+                lines.append(line + ",0")
+        return "\r\n".join(lines) + "\r\n"
+
     def to_csv(self, path) -> None:
-        """One row per sample; jump times get a pre row then a post row."""
-        pre = self.pre_states()
+        """Write `csv_text` to path in one call: ``repr`` floats, a pre
+        row then a post row at each jump after t0, and ``"\\r\\n"`` row
+        ends kept as they are (no newline translation), so the bytes are
+        the same on every platform."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i + 1}" for i in range(self.dim)] + ["is_post_jump"])
-            for t, row in zip(self.times, self.states):
-                tf = float(t)
-                if tf in pre and tf > self.t0:
-                    writer.writerow([repr(tf)] + [repr(float(v)) for v in pre[tf]] + [0])
-                    writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [1])
-                else:
-                    writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [0])
+            fh.write(self.csv_text())
 
 
 def _step_grid(

@@ -595,6 +595,29 @@ class TestFalsify:
         assert out["margin_gap"] <= 1e-9
         assert out["verdict"] == "violated"
 
+    def test_halton_table_drawn_only_for_low_discrepancy_trials(self, monkeypatch):
+        """The double-jump refutation stops at trial 0, a uniform draw, and
+        builds no low-discrepancy table; a passing search builds it once."""
+        calls = []
+        halton = certificates._scrambled_halton
+
+        def counted(n, seed):
+            calls.append((n, seed))
+            return halton(n, seed)
+
+        monkeypatch.setattr(certificates, "_scrambled_halton", counted)
+        cert = decaying_guas_certificate(3.0, 0.5)
+        rep = falsify(cert, get_example("double-jump"), periodic_family(0.1), budget=100, seed=3)
+        assert (rep.verdict, rep.trials, calls) == ("violated", 1, [])
+        rep = falsify(
+            lin_contract_iiss_certificate(),
+            get_example("lin-contract"),
+            periodic_family(0.5),
+            budget=12,
+            seed=1,
+        )
+        assert (rep.verdict, rep.trials, calls) == ("pass", 12, [(12, 1)])
+
     def test_sound_certificate_survives(self):
         sys1 = get_example("lin-contract")
         rep = falsify(

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from impstab.certificates import GuasCertificate
 from impstab.comparison import (
+    GRID_POINTS,
     ComparisonFn,
     KLFn,
     _beta_at_zero,
     _bisect,
+    _probe_grid,
     compose,
     eval_array,
     eval_kl_array,
@@ -82,6 +85,50 @@ class TestValidation:
         bad = KLFn(lambda r, s: r)
         with pytest.raises(ClassViolation, match="decay"):
             bad.validate()
+
+    def test_repeat_validation_computes_no_grid(self, monkeypatch):
+        """The probe grids are computed once per (lo, hi, n): validating a
+        second fresh certificate with the same hints calls np.geomspace
+        zero times."""
+        calls = []
+        geomspace = np.geomspace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return geomspace(*args, **kwargs)
+
+        monkeypatch.setattr(np, "geomspace", counted)
+
+        def certificate():
+            beta = KLFn(lambda r, s: 3.0 * r * np.exp(-0.5 * s), r_hint=777.0, s_hint=333.0)
+            return GuasCertificate(beta, mode="strong")
+
+        certificate()
+        assert calls
+        calls.clear()
+        certificate()
+        assert calls == []
+
+    def test_evaluator_writing_its_argument_leaves_later_grids(self):
+        """Each evaluator gets its own copy of a cached grid, so one that
+        writes into its argument cannot change what the next validation
+        probes, and the array path still runs."""
+        scalar_calls = []
+
+        def scribble(r):
+            out = 2.0 * r
+            if isinstance(r, np.ndarray):
+                r[...] = -1.0
+            else:
+                scalar_calls.append(r)
+            return out
+
+        for _ in range(2):
+            ComparisonFn(scribble, domain_hint=4321.0).validate()
+        assert scalar_calls == [0.0, 0.0]  # the value at zero, once per validation
+        assert np.array_equal(
+            _probe_grid(1e-9, 4321.0, GRID_POINTS), np.geomspace(1e-9, 4321.0, GRID_POINTS)
+        )
 
 
 class TestInvert:

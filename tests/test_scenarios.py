@@ -1,6 +1,8 @@
 """Scenario runner: deterministic reports, artifacts, exit codes."""
 
+import hashlib
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -72,6 +74,54 @@ class TestBundledScenarios:
         # the falsified trajectory is replayed into plot artifacts
         assert (out / "decay-falsify-plot.csv").exists()
         assert_numeric_rows(out / "decay-falsify-plot.csv")
+
+
+# sha256 of every artifact but meta.json, each scenario at its own seed
+BUNDLED_ARTIFACTS = {
+    "lin_contract_iiss": {
+        "report.json": "c565d31ca378b82067be1431b6f8782c4d297ce669009ab81dd8c7b13e12fcfd",
+        "gain-spotcheck-plot.csv": (
+            "035cc1ba0ae2c3d10f12d1f6344b2dcedf356ae930bde1fdac5272d23c577d87"
+        ),
+        "gain-spotcheck-trajectory.csv": (
+            "a97c004d33b490cc6427fedd725a3a84af1159d3d07427aa858b6fc84658e898"
+        ),
+    },
+    "double_jump_falsify": {
+        "report.json": "f7817feeb3e0eff90f0e55a261de58af30041907058aff51f2c573f94e99cd12",
+        "decay-falsify-plot.csv": (
+            "15b6cc2cffc45746a6118d74cf18f5b678398e82f0892c50717b66ea6f494e33"
+        ),
+        "decay-falsify-trajectory.csv": (
+            "954f92dff8bea5724d39dbee3902baa44004ee119d3685f0fb10587b1b586a97"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ARTIFACTS))
+def test_pinned_bundled_artifacts(tmp_path, name):
+    """Every byte a bundled scenario writes, but its timestamped meta.json."""
+    run_scenario(bundled(name), str(tmp_path))
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if path.name != "meta.json"
+    }
+    assert got == BUNDLED_ARTIFACTS[name]
+
+
+def test_trajectory_csv_written_atomically(tmp_path, monkeypatch):
+    """A run that fails while writing leaves no partial trajectory CSV and
+    no temp file behind."""
+
+    def fail(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk went away"):
+        run_scenario(bundled("double_jump_falsify"), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestOutDirPrecedence:

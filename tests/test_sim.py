@@ -1,7 +1,9 @@
 """Integrator fidelity: exact grids, jump conventions, failure handling."""
 
+import csv
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from impstab.inputs import (
     zero_signal,
 )
 from impstab.library import EXAMPLE_CONFIGS, make_linear_system
+from impstab.scenarios import _write_plot_csv
 from impstab.sim import (
     _DIVERGE_SQ,
     DIVERGENCE_RADIUS,
@@ -318,6 +321,94 @@ class TestSerialization:
         assert traj.end_time == 2.5
         assert traj.dim == 1
         assert math.isclose(float(traj.x0[0]), 1.7)
+
+
+def reference_trajectory_csv(traj, path):
+    """The csv.writer loop `Trajectory.to_csv` replaced, kept as its byte
+    oracle."""
+    pre = traj.pre_states()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)] + ["is_post_jump"])
+        for t, row in zip(traj.times, traj.states):
+            tf = float(t)
+            if tf in pre and tf > traj.t0:
+                writer.writerow([repr(tf)] + [repr(float(v)) for v in pre[tf]] + [0])
+                writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [1])
+            else:
+                writer.writerow([repr(tf)] + [repr(float(v)) for v in row] + [0])
+
+
+def reference_plot_csv(traj, bounds) -> bytes:
+    """The numpy-scalar loop the plot CSV writer replaced, as bytes."""
+    lines = ["t,state_norm,bound"]
+    for t, n, b in zip(traj.times, traj.norms(), bounds):
+        lines.append(f"{float(t)!r},{float(n)!r},{float(b)!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# flows that decay, blow up (a "diverged" run) or raise a math domain
+# error once |x| < 1 (a "step-failure" run under strict=False)
+WRITTEN_FLOWS = {
+    "decay": "-{x} + u1",
+    "blow-up": "{x} * {x}",
+    "domain": "-{x} + 0 * sqrt({x} * {x} - 1)",
+}
+WRITTEN_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]) | st.floats(
+    -10.0, 10.0
+)
+
+
+@st.composite
+def written_runs(draw):
+    """A run of dimension 1-3 with its plot bounds: signed zeros,
+    subnormal and huge states, jumps at t0 and at the horizon, runs that
+    diverge or end in a step failure, and a pre-jump record at t0 itself,
+    which the CSV never prints as a jump."""
+    dim = draw(st.integers(1, 3))
+    flow = WRITTEN_FLOWS[draw(st.sampled_from(sorted(WRITTEN_FLOWS)))]
+    xs = [f"x{i + 1}" for i in range(dim)]
+    system = system_from_config(
+        {
+            "name": "written",
+            "dim_x": dim,
+            "dim_u": 1,
+            "flow": [flow.format(x=x) for x in xs],
+            "jump": [f"-0.5 * {x}" for x in xs],
+        }
+    )
+    x0 = draw(st.lists(WRITTEN_VALUES, min_size=dim, max_size=dim))
+    t0 = draw(st.sampled_from([0.25, 0.5]))
+    horizon = t0 + 1.0
+    inner = st.floats(t0, horizon, exclude_min=True, exclude_max=True)
+    ends = draw(st.sets(st.sampled_from([t0, horizon])))
+    taus = sorted({*draw(st.lists(inner, max_size=3)), *ends})
+    w = hybrid(constant_signal(draw(WRITTEN_VALUES)), *taus)
+    traj = simulate(system, t0, x0, w, horizon, 0.1, strict=False)
+    if draw(st.booleans()):
+        traj = replace(
+            traj,
+            jumps=np.concatenate(([t0], traj.jumps)),
+            x_pre=np.concatenate((traj.states[:1], traj.x_pre)),
+        )
+    bounds = draw(st.lists(WRITTEN_VALUES | st.floats(), min_size=1, max_size=4))
+    return traj, np.resize(np.asarray(bounds), traj.times.shape)
+
+
+@settings(max_examples=150)
+@given(written_runs())
+def test_csv_writers_match_reference(tmp_path_factory, run):
+    """Both CSV writers give the bytes of the loops they replaced."""
+    traj, bounds = run
+    out = tmp_path_factory.getbasetemp() / "csv-writers"
+    out.mkdir(exist_ok=True)
+    traj.to_csv(out / "traj.csv")
+    reference_trajectory_csv(traj, out / "want.csv")
+    assert (out / "traj.csv").read_bytes() == (out / "want.csv").read_bytes()
+    with np.errstate(over="ignore"):  # the norm of a 1e300 state is inf
+        _write_plot_csv(str(out / "plot.csv"), traj, bounds)
+        want = reference_plot_csv(traj, bounds)
+    assert (out / "plot.csv").read_bytes() == want
 
 
 def segment_bounds(t0, horizon, jump_times, breakpoints):
