@@ -36,11 +36,9 @@ from .comparison import (
     ComparisonFn,
     KLFn,
     comparison_from_config,
-    compose,
     exp_decay_kl,
     guas_decay_from_iiss,
     identity,
-    inverse_fn,
     invert,
     kl_from_config,
     lift_weak_beta,
@@ -60,7 +58,6 @@ from .errors import (
     InvalidInterval,
     InvalidPhi,
     InvalidSystem,
-    MissingEnvelope,
     NonFiniteState,
     NonZeroInput,
     NotMonotone,
@@ -72,14 +69,12 @@ from .gronwall import (
     gronwall_bound,
     gronwall_bound_at,
     growth_profile,
-    perturbed_decay_bound,
     scaled_growth_profile,
     verify_gronwall,
 )
 from .impulses import (
     ImpulseFamily,
     ImpulseSequence,
-    UibReport,
     count_jumps,
     count_jumps_at,
     dwell_family,
@@ -88,9 +83,6 @@ from .impulses import (
     finite_random_family,
     periodic_family,
     shrinking_gap_family,
-    strong_time,
-    strong_time_schedule,
-    uib_check,
 )
 from .inputs import (
     EnergyProfile,
@@ -106,7 +98,6 @@ from .inputs import (
 )
 from .library import (
     EXAMPLE_CONFIGS,
-    builtin_examples,
     decaying_guas_certificate,
     get_example,
     lin_contract_iiss_certificate,
@@ -121,12 +112,7 @@ from .sim import (
     simulate,
 )
 from .systems import (
-    ALEnvelope,
     ImpulsiveSystem,
-    SampleRanges,
-    check_al_bound,
-    check_al_continuity_at_zero_input,
-    check_local_lipschitz_zero_input,
     compile_map,
     system_from_config,
 )

@@ -379,10 +379,13 @@ def derive_ubebs_from_iiss(cert: IissCertificate) -> UbebsCertificate:
 def derive_strong_from_weak(cert: GuasCertificate, phi) -> GuasCertificate:
     """Lift an elapsed-time bound to strong time with a count envelope.
 
-    The lifted check is one masked bisection over all check points; a
-    ``phi`` that takes numpy arrays (``math.ceil``, ``math.floor`` and
-    the stock families' ``uib_phi`` do) is asked once per step, any
-    other once per point and step; see ``lift_weak_beta``.
+    ``phi`` must bound the jump count: every window of length s of the
+    jump times checked against the result holds at most phi(s) jumps.
+    That is the caller's hypothesis and is not checked here.  The lifted
+    check is one masked bisection over all check points; a ``phi`` that
+    takes numpy arrays (as ``math.ceil`` and ``math.floor`` do) is asked
+    once per step, any other once per point and step; see
+    ``lift_weak_beta``.
     """
     if cert.mode != "weak":
         raise ClassViolation("lifting applies to weak-mode certificates")

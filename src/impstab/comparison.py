@@ -344,39 +344,6 @@ def invert_array(f: ComparisonFn, y) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def compose(outer: ComparisonFn, inner: ComparisonFn, name: str = "") -> ComparisonFn:
-    """outer after inner; K-infinity survives only if both have it, and
-    a closed-form inverse only if both carry one."""
-    cls = "Kinf" if (outer.declared_class == inner.declared_class == "Kinf") else "K"
-    both = outer.inverse is not None and inner.inverse is not None
-    return ComparisonFn(
-        lambda r: outer.evaluator(inner.evaluator(r)),
-        declared_class=cls,
-        domain_hint=inner.domain_hint,
-        name=name or f"compose({outer._label()}, {inner._label()})",
-        inverse=(lambda y: inner.inverse(outer.inverse(y))) if both else None,
-    )
-
-
-def inverse_fn(f: ComparisonFn) -> ComparisonFn:
-    """Inverse as a first-class function: `invert` per call, with f itself
-    as its closed-form inverse."""
-
-    def ev(y):
-        if isinstance(y, np.ndarray):
-            return invert_array(f, y)
-        return invert(f, float(y))
-
-    hint = float(f.evaluator(float(f.domain_hint)))
-    return ComparisonFn(
-        ev,
-        declared_class=f.declared_class,
-        domain_hint=hint,
-        name=f"inverse({f._label()})",
-        inverse=f.evaluator,
-    )
-
-
 def require_kinf(f: ComparisonFn, role: str) -> None:
     """Reject functions that do not hold up as K-infinity."""
     if f.declared_class != "Kinf":

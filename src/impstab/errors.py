@@ -25,10 +25,6 @@ class InvalidPhi(ImpstabError, ValueError):
     """A jump-count envelope is not a valid nondecreasing bound."""
 
 
-class MissingEnvelope(ImpstabError, LookupError):
-    """A growth-envelope check was requested but no envelope is attached."""
-
-
 class NonFiniteState(ImpstabError, ArithmeticError):
     """The state became NaN or infinite, or a map raised an arithmetic
     error, during strict simulation; or the initial state is not finite."""

@@ -198,32 +198,3 @@ def verify_gronwall(
         witness_time=witness,
     )
 
-
-def perturbed_decay_bound(
-    beta,
-    eta: float,
-    kappa: float,
-    lip: float,
-    x0_norm: float,
-    t0: float,
-    t: float,
-    sigma: ImpulseSequence,
-    energy: float,
-) -> float:
-    """Decay estimate degraded by model error and input energy.
-
-    beta(|x0|, strong time) plus a perturbation term (strong time times
-    eta plus kappa times energy), amplified by the worst-case growth
-    factor (1 + lip)^jumps * exp(lip * elapsed).  Constants are
-    caller-supplied; eta covers pointwise model mismatch, kappa scales
-    the energy contribution, lip bounds both maps' sensitivity.
-    """
-    if t < t0:
-        raise InvalidInterval(f"t={t} precedes t0={t0}")
-    for name, v in (("eta", eta), ("kappa", kappa), ("lip", lip), ("energy", energy)):
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    n = count_jumps(sigma, t0, t)
-    strong = (t - t0) + n
-    amplify = (1.0 + lip) ** n * math.exp(lip * (t - t0))
-    return float(beta(x0_norm, strong)) + (strong * eta + kappa * energy) * amplify

@@ -1,4 +1,4 @@
-"""Admissible jump-time sequences, counting, and strong time.
+"""Admissible jump-time sequences, jump counting, and jump-time families.
 
 Counting uses intervals open on the left and closed on the right, so a
 jump exactly at the start of a window is never counted and one exactly
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInterval, InvalidPhi
+from .errors import InvalidInterval
 
 
 def _validated_times(arr: np.ndarray, what: str) -> np.ndarray:
@@ -129,113 +129,6 @@ def count_jumps_at(
     return hi - lo
 
 
-def strong_time(sigma: ImpulseSequence, t0: float, t: float) -> float:
-    """Elapsed time plus the number of jumps in (t0, t]."""
-    return (t - t0) + count_jumps(sigma, t0, t)
-
-
-def strong_time_schedule(
-    sigma: ImpulseSequence, t0: float, increment: float, count: int
-) -> list[float]:
-    """Times [s_0, ..., s_count] where strong time accrues by ``increment``.
-
-    Each s_i is the exact infimum of {t >= s_{i-1} : (t - s_{i-1}) +
-    n(s_{i-1}, t] >= increment}, found by case analysis rather than
-    stepping: the crossing happens either at a jump time or at
-    s_{i-1} + (increment - jumps so far).  Every increment of strong
-    time over a step lies in [increment, increment + 1].
-    """
-    if increment <= 0:
-        raise InvalidInterval("increment must be positive")
-    if count < 0:
-        raise InvalidInterval("count must be nonnegative")
-    schedule = [float(t0)]
-    for _ in range(count):
-        s_prev = schedule[-1]
-        # jumps cannot push strong time past increment before this bound
-        reach = s_prev + increment
-        times = sigma.materialize(reach)
-        start = int(np.searchsorted(times, s_prev, "right"))
-        n = 0
-        s_next = None
-        for tau in times[start:]:
-            flow_cross = s_prev + (increment - n)
-            if flow_cross < tau:
-                s_next = flow_cross
-                break
-            n += 1
-            if (tau - s_prev) + n >= increment:
-                s_next = float(tau)
-                break
-        if s_next is None:
-            s_next = s_prev + (increment - n)
-        schedule.append(s_next)
-    return schedule
-
-
-@dataclass
-class UibReport:
-    passed: bool
-    checked: int
-    violation: dict | None = None
-
-
-def uib_check(
-    family,
-    phi: Callable[[float], float],
-    sample_count: int = 200,
-    horizon: float = 50.0,
-    seed: int = 0,
-) -> UibReport:
-    """Sample windows against a claimed jump-count envelope.
-
-    For each sampled sequence, windows are drawn both at random and
-    hugging jump times from below, which is where the count-to-length
-    ratio peaks.  A single window with count above phi(length) refutes
-    the envelope; passing is sampling evidence only.
-    """
-    probe = np.geomspace(1e-6, horizon, 16)
-    pv = np.array([float(phi(float(s))) for s in probe])
-    if np.any(~np.isfinite(pv)) or np.any(pv < 0):
-        raise InvalidPhi("envelope must be finite and nonnegative")
-    if np.any(np.diff(pv) < -1e-12 * (1.0 + np.abs(pv[:-1]))):
-        raise InvalidPhi("envelope must be nondecreasing")
-
-    rng = np.random.default_rng(seed)
-    checked = 0
-    seq_draws = max(1, sample_count // 50)
-    for k in range(seq_draws):
-        sigma = family.sampler(seed * 1009 + k, horizon)
-        times = sigma.materialize(horizon)
-        windows = []
-        for _ in range(sample_count // seq_draws):
-            a, b = np.sort(rng.uniform(0.0, horizon, 2))
-            if b > a:
-                windows.append((float(a), float(b)))
-        # adversarial: start just below one jump, end exactly on another
-        for i in range(min(len(times), 12)):
-            a = float(times[i]) - 1e-9
-            for j in range(i, min(len(times), i + 8)):
-                windows.append((max(a, 0.0), float(times[j])))
-        for a, b in windows:
-            n = int(count_jumps_at(times, a, b))
-            bound = float(phi(b - a)) if b > a else 0.0
-            checked += 1
-            if n > bound + 1e-9:
-                return UibReport(
-                    passed=False,
-                    checked=checked,
-                    violation={
-                        "sequence": sigma.description or "sampled",
-                        "t0": a,
-                        "t": b,
-                        "count": n,
-                        "bound": bound,
-                    },
-                )
-    return UibReport(passed=True, checked=checked)
-
-
 # ---------------------------------------------------------------------------
 # Families.
 
@@ -246,7 +139,6 @@ class ImpulseFamily:
 
     sampler: Callable[[int, float], ImpulseSequence]
     description: str
-    uib_phi: Callable[[float], float] | None = None
 
 
 def empty_family() -> ImpulseFamily:
@@ -254,7 +146,6 @@ def empty_family() -> ImpulseFamily:
     return ImpulseFamily(
         sampler=lambda seed, horizon: empty,
         description="no jumps",
-        uib_phi=lambda s: 0.0,
     )
 
 
@@ -272,7 +163,6 @@ def periodic_family(period: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"jumps every {period:g} time units",
-        uib_phi=lambda s: np.ceil(s / period),
     )
 
 
@@ -299,7 +189,6 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"random gaps in [{min_gap:g}, {max_gap:g}]",
-        uib_phi=lambda s: np.floor(s / min_gap) + 1.0,
     )
 
 
@@ -320,7 +209,6 @@ def finite_random_family(count: int, spread: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"{count} random jumps within (0, {spread:g}]",
-        uib_phi=lambda s: float(count),
     )
 
 
@@ -349,19 +237,7 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
     return ImpulseFamily(
         sampler=sample,
         description=f"gaps shrinking from {first_gap:g} toward {min_gap:g}",
-        uib_phi=lambda s: np.floor(s / min_gap) + 1.0,
     )
-
-
-def family_generators() -> dict[str, ImpulseFamily]:
-    """Representative instances of every stock family."""
-    return {
-        "empty": empty_family(),
-        "periodic-1": periodic_family(1.0),
-        "dwell-0.5-2": dwell_family(0.5, 2.0),
-        "finite-random-5": finite_random_family(5, 10.0),
-        "shrinking-gap": shrinking_gap_family(1.0, 0.1),
-    }
 
 
 def family_from_config(cfg: dict) -> ImpulseFamily:

@@ -14,7 +14,7 @@ import math
 from .certificates import GuasCertificate, IissCertificate
 from .comparison import exp_decay_kl, identity
 from .errors import OutOfRange
-from .systems import ALEnvelope, ImpulsiveSystem, compile_map, system_from_config
+from .systems import ImpulsiveSystem, compile_map, system_from_config
 
 EXAMPLE_CONFIGS = {
     "lin-contract": {
@@ -23,8 +23,6 @@ EXAMPLE_CONFIGS = {
         "dim_u": 1,
         "flow": ["u1 - x1"],
         "jump": ["-0.5*x1"],
-        "envelope_f": {"size": "r + 1", "gain": {"kind": "identity"}},
-        "envelope_g": {"size": "0.5*r", "gain": {"kind": "identity"}},
     },
     "pure-jump": {
         "name": "pure-jump",
@@ -32,8 +30,6 @@ EXAMPLE_CONFIGS = {
         "dim_u": 1,
         "flow": ["0.0"],
         "jump": ["-0.5*x1"],
-        "envelope_f": {"size": "0.0", "gain": {"kind": "identity"}},
-        "envelope_g": {"size": "0.5*r", "gain": {"kind": "identity"}},
     },
     "bilinear": {
         "name": "bilinear",
@@ -41,8 +37,6 @@ EXAMPLE_CONFIGS = {
         "dim_u": 1,
         "flow": ["x1*u1 - x1"],
         "jump": ["-0.5*x1"],
-        "envelope_f": {"size": "r", "gain": {"kind": "identity"}},
-        "envelope_g": {"size": "0.5*r", "gain": {"kind": "identity"}},
     },
     "double-jump": {
         "name": "double-jump",
@@ -50,8 +44,6 @@ EXAMPLE_CONFIGS = {
         "dim_u": 1,
         "flow": ["-x1"],
         "jump": ["x1"],
-        "envelope_f": {"size": "r", "gain": {"kind": "identity"}},
-        "envelope_g": {"size": "r", "gain": {"kind": "identity"}},
     },
     "zero": {
         "name": "zero",
@@ -59,15 +51,8 @@ EXAMPLE_CONFIGS = {
         "dim_u": 1,
         "flow": ["0.0"],
         "jump": ["0.0"],
-        "envelope_f": {"size": "0.0", "gain": {"kind": "identity"}},
-        "envelope_g": {"size": "0.0", "gain": {"kind": "identity"}},
     },
 }
-
-
-def builtin_examples() -> dict[str, ImpulsiveSystem]:
-    """Fresh instances of every built-in example, keyed by name."""
-    return {name: system_from_config(cfg) for name, cfg in EXAMPLE_CONFIGS.items()}
 
 
 def get_example(name: str) -> ImpulsiveSystem:
@@ -93,15 +78,12 @@ def make_linear_system(
     for arg, v in (("a", aa), ("jump_factor", jf)):
         if not math.isfinite(v):
             raise OutOfRange(f"make_linear_system: {arg} must be finite, got {v!r}")
-    gain = identity()
     return ImpulsiveSystem(
         name=name or f"linear(a={aa:g}, jf={jf:g})",
         dim_x=1,
         dim_u=1,
         flow=compile_map([f"{aa!r} * x1 + u1"], 1, 1),
         jump=compile_map([f"{jf - 1.0!r} * x1"], 1, 1),
-        al_envelope_f=ALEnvelope(lambda r: abs(aa) * r + 1.0, gain),
-        al_envelope_g=ALEnvelope(lambda r: abs(jf - 1.0) * r, gain),
     )
 
 

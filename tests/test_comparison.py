@@ -17,13 +17,11 @@ from impstab.comparison import (
     _beta_at_zero,
     _bisect,
     _probe_grid,
-    compose,
     eval_array,
     eval_kl_array,
     exp_decay_kl,
     guas_decay_from_iiss,
     identity,
-    inverse_fn,
     invert,
     invert_array,
     lift_weak_beta,
@@ -35,7 +33,6 @@ from impstab.comparison import (
     ubebs_alpha_from_iiss,
 )
 from impstab.errors import ClassViolation, InvalidPhi, NotMonotone, OutOfRange
-from impstab.impulses import dwell_family, periodic_family
 
 # root of r + log(1+r) = 3, frozen from an independent root finder
 INVERT_ORACLE = 1.9262710624435009
@@ -264,23 +261,6 @@ class TestClosedFormInverse:
                 with pytest.raises(OutOfRange):
                     invert_array(fn, np.array([1e-3, bad]))
 
-    def test_inverse_fn_inverts_through_the_original(self):
-        square = power(2.0)
-        inv = inverse_fn(square)
-        assert inv.inverse is square.evaluator
-        counted, calls = counting(inv)
-        ys = np.linspace(0.0, 1000.0, 1000)
-        np.testing.assert_allclose(invert_array(counted, ys), ys**2, rtol=1e-12)
-        assert len(calls) == 3
-
-    def test_compose_carries_both_inverses(self):
-        fn = compose(power(2.0), linear(3.0))
-        ys = np.geomspace(1e-6, 1e6, 50)
-        np.testing.assert_allclose(fn.inverse(ys), np.sqrt(ys) / 3.0, rtol=1e-15)
-        np.testing.assert_allclose(fn.inverse(ys), invert_array(bisection_only(fn), ys), rtol=1e-12)
-        assert compose(power(2.0), saturating()).inverse is None
-        assert compose(ComparisonFn(lambda r: r), identity()).inverse is None
-
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -310,17 +290,6 @@ def test_stock_inverse_property(kind, p, scale, fractions):
 
 
 class TestComposeInverse:
-    def test_compose_powers(self):
-        fn = compose(power(2.0), power(3.0))
-        for r in (0.1, 1.0, 4.0):
-            assert abs(fn(r) - r**6) <= 1e-9 * (1.0 + r**6)
-
-    def test_inverse_of_square(self):
-        inv = inverse_fn(power(2.0))
-        inv.validate()
-        for r in (0.25, 1.0, 9.0, 100.0):
-            assert abs(inv(r) - math.sqrt(r)) <= 1e-8 * (1.0 + math.sqrt(r))
-
     def test_eval_array_scalar_fallback(self):
         # an evaluator that rejects arrays still works elementwise
         fn = ComparisonFn(lambda r: math.sqrt(r))
@@ -491,8 +460,8 @@ def comparison_digest() -> str:
     for phi in (
         math.ceil,
         np.sqrt,
-        periodic_family(0.7).uib_phi,
-        dwell_family(0.3, 1.0).uib_phi,
+        lambda s: np.ceil(s / 0.7),
+        lambda s: np.floor(s / 0.3) + 1.0,
         lambda s: math.ceil(s),
         lambda s: math.sqrt(s),
     ):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impstab.certificates import _scaled_to_energy
-from impstab.comparison import compose, identity, linear, log_growth, power, saturating
+from impstab.comparison import ComparisonFn, identity, linear, log_growth, power, saturating
 from impstab.impulses import ImpulseSequence, dwell_family, empty_family, periodic_family
 from impstab.inputs import (
     EnergyProfile,
@@ -113,7 +113,8 @@ def test_scaled_to_energy_meets_target(w, gain, window, target):
     assert math.isfinite(energy)
 
 
-# the six stock gauges of the cap check and a non-homogeneous compose of two
+SQUARE, LOG = power(2.0), log_growth(1.0)
+# the six stock gauges of the cap check and a non-homogeneous composition of two
 CAP_GAUGES = [
     identity(),
     power(2.0),
@@ -121,7 +122,7 @@ CAP_GAUGES = [
     saturating(2.0),
     log_growth(1.5),
     linear(3.0),
-    compose(power(2.0), log_growth(1.0)),
+    ComparisonFn(lambda r: SQUARE.evaluator(LOG.evaluator(r))),
 ]
 CAP_FAMILIES = [periodic_family(0.5), dwell_family(0.3, 1.0), empty_family()]
 

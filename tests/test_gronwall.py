@@ -11,7 +11,6 @@ from impstab.gronwall import (
     gronwall_bound,
     gronwall_bound_at,
     growth_profile,
-    perturbed_decay_bound,
     scaled_growth_profile,
     verify_gronwall,
 )
@@ -179,42 +178,3 @@ class TestVerifier:
         with pytest.raises(ValueError):
             scaled_growth_profile(data(), 1.0, flow_scale=1.5)
 
-
-class TestPerturbedDecay:
-    @staticmethod
-    def beta(r, s):
-        return 2.0 * r * math.exp(-0.5 * s)
-
-    def test_zero_perturbation_is_plain_decay(self):
-        got = perturbed_decay_bound(
-            self.beta, 0.0, 0.0, 0.0, 1.5, 0.5, 2.5, seq(1.0, 2.0), energy=7.0
-        )
-        # strong time: elapsed 2 plus 2 jumps = 4
-        assert got == pytest.approx(2.0 * 1.5 * math.exp(-2.0), rel=1e-14)
-
-    def test_full_formula(self):
-        eta, kappa, lip = 0.1, 0.3, 0.2
-        got = perturbed_decay_bound(
-            self.beta, eta, kappa, lip, 1.5, 0.5, 2.5, seq(1.0, 2.0), energy=2.0
-        )
-        strong = 2.0 + 2.0
-        amplify = (1.0 + lip) ** 2 * math.exp(lip * 2.0)
-        want = self.beta(1.5, strong) + (strong * eta + kappa * 2.0) * amplify
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_monotone_in_perturbation(self):
-        base = perturbed_decay_bound(
-            self.beta, 0.0, 0.0, 0.0, 1.0, 0.0, 3.0, seq(1.0), energy=1.0
-        )
-        worse = perturbed_decay_bound(
-            self.beta, 0.05, 0.1, 0.1, 1.0, 0.0, 3.0, seq(1.0), energy=1.0
-        )
-        assert worse > base
-
-    def test_bad_arguments(self):
-        with pytest.raises(InvalidInterval):
-            perturbed_decay_bound(self.beta, 0, 0, 0, 1.0, 1.0, 0.5, seq(), energy=0.0)
-        with pytest.raises(ValueError):
-            perturbed_decay_bound(self.beta, -0.1, 0, 0, 1.0, 0.0, 1.0, seq(), energy=0.0)
-        with pytest.raises(ValueError):
-            perturbed_decay_bound(self.beta, 0, 0, 0, 1.0, 0.0, 1.0, seq(), energy=-1.0)

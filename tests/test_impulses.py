@@ -1,11 +1,9 @@
 """Jump-time sequences, counting conventions, and families."""
 
-import math
-
 import numpy as np
 import pytest
 
-from impstab.errors import InvalidInterval, InvalidPhi
+from impstab.errors import InvalidInterval
 from impstab.impulses import (
     ImpulseSequence,
     count_jumps,
@@ -13,13 +11,9 @@ from impstab.impulses import (
     dwell_family,
     empty_family,
     family_from_config,
-    family_generators,
     finite_random_family,
     periodic_family,
     shrinking_gap_family,
-    strong_time,
-    strong_time_schedule,
-    uib_check,
 )
 
 
@@ -73,103 +67,6 @@ class TestCounting:
         s = seq(0.25, 1.5)
         back = ImpulseSequence.from_json(s.to_json())
         assert list(back.materialize(5.0)) == [0.25, 1.5]
-
-
-class TestStrongTime:
-    def test_matches_definition(self):
-        s = seq(1.0, 2.0)
-        assert strong_time(s, 0.0, 2.5) == 2.5 + 2
-        assert strong_time(s, 1.0, 2.0) == 1.0 + 1
-
-    def test_dominates_elapsed(self):
-        rng = np.random.default_rng(9)
-        times = np.cumsum(rng.uniform(0.1, 1.0, 30))
-        s = ImpulseSequence.from_times(times)
-        for _ in range(100):
-            a, b = np.sort(rng.uniform(0.0, 25.0, 2))
-            assert strong_time(s, a, b) >= b - a
-
-
-class TestSchedule:
-    def test_frozen_example(self):
-        """Three early jumps: the first crossing is at the second jump,
-        the next one happens by pure flow after the last jump."""
-        s = seq(0.1, 0.2, 0.3)
-        got = strong_time_schedule(s, 0.0, 2.0, 2)
-        np.testing.assert_allclose(got, [0.0, 0.2, 1.2], atol=1e-12)
-
-    def test_periodic_unit_grid(self):
-        s = periodic_family(1.0).sampler(0, 50.0)
-        got = strong_time_schedule(s, 0.0, 2.0, 5)
-        np.testing.assert_allclose(got, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
-
-    def test_no_jumps_is_arithmetic(self):
-        got = strong_time_schedule(seq(), 1.0, 0.5, 4)
-        np.testing.assert_allclose(got, [1.0, 1.5, 2.0, 2.5, 3.0], atol=1e-12)
-
-    def test_increment_bracket(self):
-        """Strong time gained over one schedule step lies in
-        [increment, increment + 1]: the crossing overshoots by at most
-        one jump."""
-        rng = np.random.default_rng(21)
-        for trial in range(20):
-            times = np.cumsum(rng.uniform(0.05, 1.2, 80))
-            s = ImpulseSequence.from_times(times)
-            inc = float(rng.uniform(0.3, 3.0))
-            sched = strong_time_schedule(s, 0.0, inc, 8)
-            for a, b in zip(sched[:-1], sched[1:]):
-                gained = (b - a) + count_jumps(s, a, b)
-                assert inc - 1e-9 <= gained <= inc + 1.0 + 1e-9
-
-    def test_bad_args(self):
-        with pytest.raises(InvalidInterval):
-            strong_time_schedule(seq(1.0), 0.0, 0.0, 3)
-        with pytest.raises(InvalidInterval):
-            strong_time_schedule(seq(1.0), 0.0, 1.0, -1)
-
-
-class TestUib:
-    def test_periodic_envelope_passes(self):
-        fam = periodic_family(0.5)
-        rep = uib_check(fam, fam.uib_phi, sample_count=150, horizon=30.0, seed=2)
-        assert rep.passed
-        assert rep.checked > 100
-
-    def test_undersized_envelope_caught(self):
-        fam = periodic_family(0.5)
-        rep = uib_check(fam, lambda s: 0.5 * s, sample_count=150, horizon=30.0, seed=2)
-        assert not rep.passed
-        v = rep.violation
-        assert v["count"] > v["bound"]
-
-    def test_dwell_envelope_passes(self):
-        fam = dwell_family(0.2, 0.7)
-        rep = uib_check(fam, fam.uib_phi, sample_count=200, horizon=40.0, seed=5)
-        assert rep.passed
-
-    def test_stock_envelopes_equal_their_math_forms(self):
-        """The numpy envelopes give the values of the scalar math forms
-        they replace, at every scalar and element by element on arrays."""
-        grid = np.concatenate(
-            ([0.0, 1e-12, 1e-9], np.arange(0.0, 50.0, 0.05), np.geomspace(1e-6, 1e5, 300))
-        )
-        cases = [
-            (periodic_family(0.7).uib_phi, lambda s: math.ceil(s / 0.7)),
-            (periodic_family(1.0).uib_phi, lambda s: math.ceil(s / 1.0)),
-            (dwell_family(0.3, 2.0).uib_phi, lambda s: math.floor(s / 0.3) + 1.0),
-            (shrinking_gap_family(1.0, 0.1).uib_phi, lambda s: math.floor(s / 0.1) + 1.0),
-        ]
-        for phi, old in cases:
-            want = [old(float(s)) for s in grid]
-            assert [phi(float(s)) for s in grid] == want
-            assert phi(grid).tolist() == want
-
-    def test_bad_phi_rejected(self):
-        fam = periodic_family(1.0)
-        with pytest.raises(InvalidPhi):
-            uib_check(fam, lambda s: -1.0)
-        with pytest.raises(InvalidPhi):
-            uib_check(fam, lambda s: 10.0 - s)
 
 
 class TestFamilies:
@@ -231,8 +128,3 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family_from_config({"name": "nope"})
 
-    def test_generators_registry(self):
-        gens = family_generators()
-        assert "empty" in gens
-        for fam in gens.values():
-            fam.sampler(0, 5.0).materialize(5.0)
