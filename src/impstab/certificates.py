@@ -381,11 +381,13 @@ def derive_strong_from_weak(cert: GuasCertificate, phi) -> GuasCertificate:
 
     ``phi`` must bound the jump count: every window of length s of the
     jump times checked against the result holds at most phi(s) jumps.
-    That is the caller's hypothesis and is not checked here.  The lifted
-    check is one masked bisection over all check points; a ``phi`` that
-    takes numpy arrays (as ``math.ceil`` and ``math.floor`` do) is asked
-    once per step, any other once per point and step; see
-    ``lift_weak_beta``.
+    That is the caller's hypothesis and is not checked here.  For
+    ``math.ceil`` and ``np.ceil`` the lifted check takes each strong
+    time's argument in closed form, checked to be the bisection's; any
+    other ``phi``, and any point the check rejects, goes through one
+    masked bisection over the check points, asking a ``phi`` that takes
+    numpy arrays once per step and any other once per point and step;
+    see ``lift_weak_beta``.
     """
     if cert.mode != "weak":
         raise ClassViolation("lifting applies to weak-mode certificates")

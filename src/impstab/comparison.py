@@ -8,7 +8,10 @@ may carry a closed-form inverse (the stock families do); inversion uses
 it where its result passes the residual guard and bisects otherwise,
 so no function needs one and a wrong one costs speed, not correctness.
 Inversion and the weak-to-strong lift share one masked bisection,
-`_bisect`, over arrays of targets; a scalar is an array of one.
+`_bisect`, over arrays of targets; a scalar is an array of one.  The
+lift takes g in closed form for a ``ceil`` envelope where it passes the
+bisection's own predicate and closing rule, with the same bits, and
+bisects every other envelope and every target the check rejects.
 """
 
 from __future__ import annotations
@@ -435,22 +438,40 @@ def ubebs_alpha_from_iiss(alpha: ComparisonFn, beta: KLFn) -> ComparisonFn:
 _ARRAY_FORMS = ((math.ceil, np.ceil), (math.floor, np.floor))
 
 
+def _ceil_edge(v: np.ndarray):
+    """g(v) for phi = ceil, and whether s + ceil(s) >= v holds there.
+
+    On (m - 1, m] the sum s + m covers (2m - 1, 2m] and skips
+    (2m - 2, 2m - 1], where the infimum m - 1 is not attained.
+    """
+    m = np.ceil(0.5 * v)
+    hit = v > 2.0 * m - 1.0
+    return np.where(hit, v - m, m - 1.0), hit
+
+
 def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
     """Convert an elapsed-time bound into a jump-counting one.
 
     ``phi`` must be a nondecreasing envelope on the number of jumps in
     any window of a given length.  The lifted bound evaluates beta at
-    g(v) = inf{s >= 0 : s + phi(s) >= v}; bisection returns the left
-    endpoint of the final bracket, which keeps the lift conservative:
+    g(v) = inf{s >= 0 : s + phi(s) >= v}, as bisection on [0, H] finds
+    it (H the first power of two from 1 up with H + phi(H) >= v): the
+    left endpoint of the first bracket narrower than 1e-10 * (1 + its
+    upper end), which keeps the lift conservative:
     beta(r, s) <= lifted(r, s + phi(s)) pointwise.
 
-    g is one masked bisection over all strong times (a scalar one is an
-    array of one), each time leaving it once its own bracket is narrow.
-    ``math.ceil`` and ``math.floor`` are read as ``np.ceil`` and
-    ``np.floor``, and any other envelope is called on arrays when it maps
-    the probe array to values of the same shape equal to its scalar
-    values; otherwise it is called one element at a time.  Either way
-    each time gets the same bits.
+    For ``math.ceil`` and ``np.ceil`` g has a closed form.  It is placed
+    on the dyadic grid where the bisection would close, and taken only
+    where the bisection's own predicate and closing rule hold there;
+    since s + ceil(s) is nondecreasing in floating point, that grid
+    point is what the bisection returns.  Every other target, and every other envelope
+    (``math.floor`` included), goes through one masked bisection over all
+    strong times (a scalar one is an array of one), each time leaving it
+    once its own bracket is narrow.  ``math.ceil`` and ``math.floor``
+    are read as ``np.ceil`` and ``np.floor``, and any other envelope is
+    called on arrays when it maps the probe array to values of the same
+    shape equal to its scalar values; otherwise it is called one element
+    at a time.  Either way each time gets the same bits.
     """
     probe = np.concatenate(([1e-9], np.geomspace(1e-6, max(beta.s_hint, 1.0), 40)))
     pv = np.array([float(phi(float(s))) for s in probe])
@@ -472,6 +493,12 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
 
     phi0 = float(phi(1e-12))  # limit from the right at 0
 
+    def up(mid: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return mid + np.asarray(phi_arr(mid), dtype=float) >= t
+
+    def closed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return hi - lo <= 1e-10 * (1.0 + hi)
+
     def g(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.size)
         live = np.flatnonzero(~(v.ravel() <= phi0))
@@ -483,13 +510,26 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
             # times still doubling share h: one scalar envelope call
             hi[(hi == 0.0) & (h + float(phi(h)) >= target)] = h
             h *= 2.0
-        out[live], _ = _bisect(
-            lambda mid, t: mid + np.asarray(phi_arr(mid), dtype=float) >= t,
-            np.zeros(live.size),
-            hi,
-            lambda lo, hi: hi - lo <= 1e-10 * (1.0 + hi),
-            target,
-        )
+        if phi_arr is np.ceil:
+            # Bisection on [0, hi] tests only dyadic points, so it closes on
+            # [j * w, (j + 1) * w] for a power of two w, at the first level
+            # whose width is at most 1e-10 * (1 + upper end), and returns
+            # j * w: the last grid point where the predicate fails, or 0.
+            # Take w as the largest power of two at most 1e-10 * (1 + g)
+            # and j from g; keep them only where that bracket is closed,
+            # its parent [.., 2 * w] open, and the predicate false at j * w
+            # (or j = 0) and true at (j + 1) * w.
+            s, hit = _ceil_edge(target)
+            w = np.ldexp(1.0, np.frexp(1e-10 * (1.0 + s))[1] - 1)
+            j = np.where(hit, np.ceil(s / w) - 1.0, np.floor(s / w))
+            lo, par = j * w, np.floor(0.5 * j) * (2.0 * w)
+            ok = (j >= 0.0) & (2.0 * w <= hi) & closed(lo, lo + w)
+            ok &= ~closed(par, par + 2.0 * w) & up(lo + w, target)
+            ok &= (j == 0.0) | ~up(lo, target)
+            out[live[ok]] = lo[ok]
+            live, target, hi = live[~ok], target[~ok], hi[~ok]
+        if live.size:
+            out[live], _ = _bisect(up, np.zeros(live.size), hi, closed, target)
         return out.reshape(v.shape)
 
     def ev(r, s):

@@ -10,12 +10,13 @@ horizon; materialized prefixes are cached and treated as immutable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInterval
+from .errors import ConfigError, InvalidInterval
 
 
 def _validated_times(arr: np.ndarray, what: str) -> np.ndarray:
@@ -133,6 +134,17 @@ def count_jumps_at(
 # Families.
 
 
+def _positive(name: str, v) -> float:
+    """``v`` as a float, or ConfigError naming it unless it is a positive,
+    finite number: a NaN period would fail at the first step, an infinite
+    one would give no jumps, and True would read as 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+        math.isfinite(v) and v > 0
+    ):
+        raise ConfigError(f"{name!r} must be a positive, finite number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ImpulseFamily:
     """A seedable distribution over admissible sequences."""
@@ -150,8 +162,7 @@ def empty_family() -> ImpulseFamily:
 
 
 def periodic_family(period: float) -> ImpulseFamily:
-    if period <= 0:
-        raise ValueError("period must be positive")
+    period = _positive("period", period)
 
     def gen(horizon: float) -> np.ndarray:
         n = int(math.floor(horizon / period + 1e-9))
@@ -168,8 +179,9 @@ def periodic_family(period: float) -> ImpulseFamily:
 
 def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
     """Randomized gaps, each at least min_gap."""
-    if not (0 < min_gap <= max_gap):
-        raise ValueError("need 0 < min_gap <= max_gap")
+    min_gap, max_gap = _positive("min_gap", min_gap), _positive("max_gap", max_gap)
+    if min_gap > max_gap:
+        raise ConfigError(f"need 'min_gap' <= 'max_gap', got {min_gap!r} > {max_gap!r}")
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         def gen(h: float) -> np.ndarray:
@@ -194,8 +206,13 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
 
 def finite_random_family(count: int, spread: float) -> ImpulseFamily:
     """A fixed number of jump times scattered over (0, spread]."""
-    if count < 0 or spread <= 0:
-        raise ValueError("need count >= 0 and spread > 0")
+    # int() would truncate 2.9 and read True as 1
+    integral = isinstance(count, numbers.Integral) or (
+        isinstance(count, numbers.Real) and float(count).is_integer()
+    )
+    if isinstance(count, bool) or not integral or count < 0:
+        raise ConfigError(f"'count' must be a nonnegative integer, got {count!r}")
+    count, spread = int(count), _positive("spread", spread)
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         rng = np.random.default_rng([1139, seed])
@@ -214,8 +231,9 @@ def finite_random_family(count: int, spread: float) -> ImpulseFamily:
 
 def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
     """Gaps that halve toward a strictly positive floor; never Zeno."""
-    if not (0 < min_gap <= first_gap):
-        raise ValueError("need 0 < min_gap <= first_gap")
+    first_gap, min_gap = _positive("first_gap", first_gap), _positive("min_gap", min_gap)
+    if min_gap > first_gap:
+        raise ConfigError(f"need 'min_gap' <= 'first_gap', got {min_gap!r} > {first_gap!r}")
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         def gen(h: float) -> np.ndarray:
@@ -240,16 +258,38 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
     )
 
 
+_FAMILIES = {
+    "empty": (empty_family, ()),
+    "periodic": (periodic_family, ("period",)),
+    "dwell": (dwell_family, ("min_gap", "max_gap")),
+    "finite-random": (finite_random_family, ("count", "spread")),
+    "shrinking-gap": (shrinking_gap_family, ("first_gap", "min_gap")),
+}
+
+
 def family_from_config(cfg: dict) -> ImpulseFamily:
+    """Build a family from ``{"name": ..., <its arguments>}``.  A number
+    may be given as a string, such as ``"0.5"``, and is read by float().
+    A config that is not a mapping, an unknown name, a missing argument,
+    a string that is not a number, or an argument the family rejects
+    raises ConfigError naming it, before any step."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"impulse family config must be a mapping, got {cfg!r}")
     name = cfg.get("name")
-    if name == "empty":
-        return empty_family()
-    if name == "periodic":
-        return periodic_family(float(cfg["period"]))
-    if name == "dwell":
-        return dwell_family(float(cfg["min_gap"]), float(cfg["max_gap"]))
-    if name == "finite-random":
-        return finite_random_family(int(cfg["count"]), float(cfg["spread"]))
-    if name == "shrinking-gap":
-        return shrinking_gap_family(float(cfg["first_gap"]), float(cfg["min_gap"]))
-    raise ValueError(f"unknown impulse family {name!r}")
+    if not isinstance(name, str) or name not in _FAMILIES:
+        raise ConfigError(
+            f"impulse family 'name' must be one of {sorted(_FAMILIES)}, got {name!r}"
+        )
+    make, keys = _FAMILIES[name]
+    args = []
+    for key in keys:
+        if key not in cfg:
+            raise ConfigError(f"impulse family {name!r} config is missing {key!r}")
+        v = cfg[key]
+        if isinstance(v, str):
+            try:
+                v = float(v)
+            except ValueError:
+                raise ConfigError(f"{key!r} must be a number, got {v!r}") from None
+        args.append(v)
+    return make(*args)

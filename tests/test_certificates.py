@@ -459,32 +459,33 @@ def spied(family):
     return replace(family, sampler=sampler), seeds
 
 
-def root_find_sizes(monkeypatch) -> list:
-    """A list that records the size of every inversion and every lift
-    bisection the comparison module starts from now on."""
-    sizes = []
+def root_find_sizes(monkeypatch) -> tuple[list, list]:
+    """Two lists that record the size of every inversion and of every
+    lift bisection the comparison module starts from now on."""
+    inverted, lifted = [], []
     invert_array, bisect = comparison.invert_array, comparison._bisect
 
     def counted_invert(f, y):
-        sizes.append(np.size(y))
+        inverted.append(np.size(y))
         return invert_array(f, y)
 
     def counted_lift_bisect(up, lo, hi, closed, *carry, together=False):
         if not together:  # the lift's bisection; inversion's runs together
-            sizes.append(lo.size)
+            lifted.append(lo.size)
         return bisect(up, lo, hi, closed, *carry, together=together)
 
     monkeypatch.setattr(comparison, "invert_array", counted_invert)
     monkeypatch.setattr(comparison, "_bisect", counted_lift_bisect)
-    return sizes
+    return inverted, lifted
 
 
 class TestDerivedCertificates:
     def test_validation_makes_few_scalar_root_finds(self, monkeypatch):
         """Derived and lifted bounds take an array of r with one s, so
         validating one solves a few dozen one-element roots at most, not
-        one per probe point (about 230 when they took floats only)."""
-        sizes = root_find_sizes(monkeypatch)
+        one per probe point (about 230 when they took floats only).  A
+        ``math.ceil`` lift takes g in closed form and bisects nothing."""
+        inverted, lifted = root_find_sizes(monkeypatch)
         base = IissCertificate(
             power(2.0), exp_decay_kl(4.0, 0.5), identity(), identity(), "strong"
         )
@@ -492,30 +493,36 @@ class TestDerivedCertificates:
         for derive in (
             lambda: derive_guas_from_iiss(base),
             lambda: derive_guas_from_iiss(lin_contract_iiss_certificate()),
-            lambda: derive_strong_from_weak(weak, math.ceil),
             lambda: derive_strong_from_weak(weak, lambda s: math.ceil(s)),
         ):
-            del sizes[:]
+            del inverted[:], lifted[:]
             derive()
-            assert 0 < sizes.count(1) <= 30
+            assert 0 < (inverted + lifted).count(1) <= 30
+        del inverted[:], lifted[:]
+        derive_strong_from_weak(weak, math.ceil)
+        assert not lifted
 
     def test_float_only_beta_validation_makes_few_root_finds(self, monkeypatch):
         """A beta that takes floats only is called one r at a time around
         beta alone, so the root-find still runs once per call: validating
-        its lift once made 246 root-finds, one per probe point."""
+        its lift once made 246 root-finds, one per probe point.  With
+        ``math.ceil`` the lift bisects nothing at all; a scalar-only ceil
+        still bisects, a few dozen one-element roots at most."""
         beta = KLFn(lambda r, s: 2.0 * math.fabs(r) * math.exp(-0.5 * s), name="float-only")
-        sizes = root_find_sizes(monkeypatch)
-        for derive in (
-            lambda: derive_guas_from_iiss(
-                IissCertificate(power(2.0), beta, identity(), identity(), "strong")
-            ),
-            lambda: derive_strong_from_weak(GuasCertificate(beta, "weak"), math.ceil),
-        ):
-            del sizes[:]
-            derived = derive()
-            assert 0 < sizes.count(1) <= 30
+        inverted, lifted = root_find_sizes(monkeypatch)
+        derived = derive_guas_from_iiss(
+            IissCertificate(power(2.0), beta, identity(), identity(), "strong")
+        )
+        assert 0 < inverted.count(1) <= 30
+        lift = derive_strong_from_weak(GuasCertificate(beta, "weak"), math.ceil)
+        assert not lifted
+        scalar_lift = derive_strong_from_weak(
+            GuasCertificate(beta, "weak"), lambda s: math.ceil(s)
+        )
+        assert 0 < lifted.count(1) <= 30
+        for cert in (derived, lift, scalar_lift):
             for r in (0.5, 2.0):
-                assert derived.beta(np.array([r]), 1.0)[0] == derived.beta(r, 1.0)
+                assert cert.beta(np.array([r]), 1.0)[0] == cert.beta(r, 1.0)
 
     def test_decay_through_square_gauge(self):
         base = IissCertificate(

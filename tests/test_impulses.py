@@ -1,9 +1,11 @@
 """Jump-time sequences, counting conventions, and families."""
 
+import math
+
 import numpy as np
 import pytest
 
-from impstab.errors import InvalidInterval
+from impstab.errors import ConfigError, InvalidInterval
 from impstab.impulses import (
     ImpulseSequence,
     count_jumps,
@@ -127,4 +129,57 @@ class TestFamilies:
             fam.sampler(1, 10.0).materialize(10.0)
         with pytest.raises(ValueError):
             family_from_config({"name": "nope"})
+
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            ({"name": "finite-random", "count": 2.9, "spread": 5.0}, "count"),
+            ({"name": "finite-random", "count": True, "spread": 5.0}, "count"),
+            ({"name": "finite-random", "count": -1, "spread": 5.0}, "count"),
+            ({"name": "finite-random", "count": 3, "spread": math.nan}, "spread"),
+            ({"name": "periodic", "period": True}, "period"),
+            ({"name": "periodic", "period": "abc"}, "period"),
+            ({"name": "periodic", "period": "nan"}, "period"),
+            ({"name": "finite-random", "count": "2.9", "spread": 5.0}, "count"),
+            ({"name": "periodic", "period": math.nan}, "period"),
+            ({"name": "periodic", "period": math.inf}, "period"),
+            ({"name": "periodic", "period": None}, "period"),
+            ({"name": "periodic"}, "period"),
+            ({"name": "dwell", "min_gap": 0.1}, "max_gap"),
+            ({"name": "dwell", "min_gap": 0.1, "max_gap": math.inf}, "max_gap"),
+            ({"name": "shrinking-gap", "first_gap": math.inf, "min_gap": 0.1}, "first_gap"),
+            ({"name": "nope"}, "nope"),
+            ({}, "name"),
+        ],
+    )
+    def test_hostile_configs_name_their_key(self, cfg, named):
+        """A non-integral or bool count, a bool, string, NaN or infinite
+        number, a missing key and an unknown name raise ConfigError naming
+        the key or name: int() truncated 2.9, True read as 1, a NaN period
+        failed at the first step and an infinite one gave no jumps."""
+        with pytest.raises(ConfigError, match=repr(named)):
+            family_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [[1, 2], "periodic", None])
+    def test_non_mapping_config_rejected(self, cfg):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            family_from_config(cfg)
+
+    def test_quoted_numbers_read_as_numbers(self):
+        quoted = family_from_config({"name": "periodic", "period": "0.5"})
+        plain = family_from_config({"name": "periodic", "period": 0.5})
+        assert np.array_equal(
+            quoted.sampler(0, 3.0).materialize(3.0), plain.sampler(0, 3.0).materialize(3.0)
+        )
+        fam = family_from_config({"name": "finite-random", "count": "3", "spread": "5"})
+        assert fam.sampler(1, 10.0).materialize(10.0).size == 3
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, True])
+    def test_periodic_family_rejects_before_any_step(self, period):
+        with pytest.raises(ConfigError, match="'period'"):
+            periodic_family(period)
+
+    def test_integral_float_count_accepted(self):
+        fam = family_from_config({"name": "finite-random", "count": 3.0, "spread": 5.0})
+        assert fam.sampler(1, 10.0).materialize(10.0).size == 3
 

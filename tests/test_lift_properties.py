@@ -1,11 +1,15 @@
 """Property tests of the weak-to-strong lift and of jump counting.
 
-The lift is one masked bisection over all strong times, each time
-leaving it once its own bracket is narrow; a scalar time is an array of
-one.  An array must give each time the bits it gets alone, for every
-envelope, array-capable or not.  Times are drawn partly
-from a quarter grid so that targets, jump times and window ends land on
-the envelopes' steps, where rounding decides the answer.
+For ``math.ceil`` and ``np.ceil`` the lift takes g in closed form,
+checked against the bisection's own predicate and closing rule, and
+must return the bits a test-local copy of the bisection returns.  Every other envelope, and
+any target the check rejects, goes through one masked bisection over
+all strong times, each time leaving it once its own bracket is narrow;
+a scalar time is an array of one.  An array must give each time the
+bits it gets alone, for every envelope, array-capable or not.  Times
+are drawn partly from a quarter grid so that targets, jump times and
+window ends land on the envelopes' steps, where rounding decides the
+answer.
 """
 
 import math
@@ -13,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impstab import comparison
-from impstab.certificates import _check_points
+from impstab.certificates import _check_points, check_guas, derive_strong_from_weak
 from impstab.comparison import KLFn, exp_decay_kl, lift_weak_beta, rational_decay_kl
 from impstab.errors import InvalidPhi
-from impstab.impulses import ImpulseSequence, count_jumps, count_jumps_at
+from impstab.impulses import ImpulseSequence, count_jumps, count_jumps_at, periodic_family
 from impstab.inputs import HybridInput, zero_signal
-from impstab.library import get_example
+from impstab.library import get_example, pure_jump_weak_certificate
 from impstab.sim import simulate
 
 PROPERTY = settings(max_examples=200)
@@ -183,3 +187,121 @@ def test_math_rounding_read_as_numpy(monkeypatch):
     arr, scalar = g_both(math.ceil, vs)
     assert calls and all(isinstance(s, np.ndarray) for s in calls)
     assert arr.tolist() == scalar
+
+
+CLOSED_FORM_ENVELOPES = [math.ceil, np.ceil]
+
+
+def bisected_g(phi, v: float) -> float:
+    """g(v) by doubling and bisection alone, one target at a time: the
+    reference the closed form must match bit for bit."""
+    if v <= float(phi(1e-12)):
+        return 0.0
+    hi = 1.0
+    while not hi + float(phi(hi)) >= v:
+        hi *= 2.0
+    lo = 0.0
+    while not hi - lo <= 1e-10 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if mid + float(phi(mid)) >= v:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def bisections_started(monkeypatch) -> list:
+    """A list that records the size of every `_bisect` started from now on."""
+    sizes, bisect = [], comparison._bisect
+
+    def counted(up, lo, hi, closed, *carry, together=False):
+        sizes.append(lo.size)
+        return bisect(up, lo, hi, closed, *carry, together=together)
+
+    monkeypatch.setattr(comparison, "_bisect", counted)
+    return sizes
+
+
+def steps_apart(x: float):
+    """x, one ulp either side of it, and 1e-12 either side of it."""
+    return st.sampled_from(
+        [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf), x - 1e-12, x + 1e-12]
+    )
+
+
+def near_level_change(e: int, d: float) -> float:
+    """s + ceil(s) for s within a few 1e-9 of where 1e-10 * (1 + s)
+    crosses 2**e, so that the bisection's closing level changes there."""
+    s = (2.0**e / 1e-10 - 1.0) * (1.0 - d)
+    return s + math.ceil(s)
+
+
+edge_targets = st.one_of(
+    quarter(0.0, 200.0),
+    st.builds(
+        near_level_change,
+        st.integers(-33, -20),
+        # within about 5e-11 below a level change the bracket's parent
+        # is already closed, so the guess is one level too fine there
+        st.one_of(st.floats(0.0, 1e-10), st.floats(-1e-9, 3e-9)),
+    ),
+    st.integers(0, 400).map(lambda k: k / 2).flatmap(steps_apart),
+    st.floats(-1.0, 1.0, allow_nan=False),  # at and below phi(0+)
+    st.floats(0.0, 5e5, allow_nan=False),
+    st.sampled_from([1e-12, 5e-324, 0.0, -0.0, 5e5]),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@example(math.ceil, [near_level_change(-20, 1e-13), near_level_change(-33, 3e-10)])
+@given(st.sampled_from(CLOSED_FORM_ENVELOPES), st.lists(edge_targets, min_size=1, max_size=60))
+def test_rounding_lift_is_the_bisection(phi, vs):
+    """The closed-form g of a ceil envelope is the bisection's, bit for
+    bit, on and around the steps where rounding decides it."""
+    got = lift_weak_beta(READ_G, phi)(1.0, np.asarray(vs, dtype=float))
+    want = np.array([bisected_g(phi, v) for v in vs])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_weak_lift_check_starts_no_bisection(monkeypatch):
+    """On the weak-lift configuration (pure-jump, period-1 jumps, a
+    ``math.ceil`` lift of the elapsed-time bound) the lifted check takes
+    every strong time in closed form, with the bisection's bits."""
+    lifted = derive_strong_from_weak(pure_jump_weak_certificate(), math.ceil)
+    read_g = lift_weak_beta(READ_G, math.ceil)
+    sizes = bisections_started(monkeypatch)
+    family = periodic_family(1.0)
+    for i in range(4):
+        rng = np.random.default_rng([1760, 0, i])
+        t0, x0 = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-5.0, 5.0))
+        w = HybridInput(zero_signal(), family.sampler(i, t0 + 10.0))
+        traj = simulate(get_example("pure-jump"), t0, [x0], w, t0 + 10.0, 1e-2)
+        assert check_guas(lifted, traj).verdict == "pass"
+        strong = _check_points(traj, w.sigma, "strong")[2]
+        got = read_g(1.0, strong)
+        assert not sizes
+        want = np.array([bisected_g(math.ceil, v) for v in strong])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda s, hit: (s + 0.25, hit),
+        lambda s, hit: (s - 1e-9, hit),
+        lambda s, hit: (s, ~hit),
+        lambda s, hit: (np.full(s.shape, np.nan), hit),
+    ],
+    ids=["past-the-step", "below-the-grid-point", "hit-flipped", "nan"],
+)
+@pytest.mark.parametrize("phi", CLOSED_FORM_ENVELOPES)
+def test_wrong_edge_falls_back_to_bisection(monkeypatch, phi, wrong):
+    """A threshold that fails the check costs a bisection, not a bit."""
+    edge = comparison._ceil_edge
+    monkeypatch.setattr(comparison, "_ceil_edge", lambda v: wrong(*edge(v)))
+    sizes = bisections_started(monkeypatch)
+    vs = np.concatenate([np.arange(0.0, 40.0, 0.25), np.linspace(0.0, 5e5, 41)[1:] + 0.3])
+    got = lift_weak_beta(READ_G, phi)(1.0, vs)
+    want = np.array([bisected_g(phi, v) for v in vs])
+    assert got.tobytes() == want.tobytes()
+    assert sizes
