@@ -54,7 +54,6 @@ from .errors import (
     ConfigError,
     HypothesisFailed,
     ImpstabError,
-    InconsistentInput,
     InvalidInterval,
     InvalidPhi,
     InvalidSystem,

@@ -35,13 +35,7 @@ from .comparison import (
     require_kinf,
     ubebs_alpha_from_iiss,
 )
-from .errors import (
-    ClassViolation,
-    ConfigError,
-    InconsistentInput,
-    NonZeroInput,
-    OutOfRange,
-)
+from .errors import ClassViolation, ConfigError, NonZeroInput, OutOfRange
 from .impulses import ImpulseFamily, ImpulseSequence, count_jumps_at
 from .inputs import EnergyProfile, HybridInput, InputSignal, _row_norms, zero_signal
 from .sim import DIVERGENCE_RADIUS, STATUS_COMPLETE, Trajectory, simulate
@@ -125,7 +119,7 @@ class Witness:
     horizon: float
     step: float
     sigma_times: list
-    u: dict | None
+    u: dict
     trial: int | None = None
     seed: int | None = None
 
@@ -139,12 +133,8 @@ class Witness:
     def trajectory(self, system: ImpulsiveSystem) -> Trajectory:
         """Re-simulate the witnessed trial; the trajectory's ``input_used``
         is the hybrid input rebuilt from the stored times and signal."""
-        u = (
-            InputSignal.from_json(self.u)
-            if self.u is not None
-            else zero_signal(system.dim_u)
-        )
-        w = HybridInput(u, ImpulseSequence.from_times(self.sigma_times))
+        sigma = ImpulseSequence.from_times(self.sigma_times)
+        w = HybridInput(InputSignal.from_json(self.u), sigma)
         return simulate(
             system,
             self.t0,
@@ -179,7 +169,7 @@ class CheckReport:
         return out
 
 
-def _check_points(traj: Trajectory, sigma: ImpulseSequence, mode: str):
+def _check_points(traj: Trajectory, mode: str):
     """Evaluation points: every sample plus the pre-jump values.
 
     Returns times, state norms, time arguments (strong or elapsed), and
@@ -188,7 +178,7 @@ def _check_points(traj: Trajectory, sigma: ImpulseSequence, mode: str):
     """
     ts = traj.times
     norms = traj.norms()
-    taus = sigma.materialize(traj.end_time)
+    taus = traj.input_used.sigma.materialize(traj.end_time)
     counts = count_jumps_at(taus, traj.t0, ts)
     elapsed = ts - traj.t0
     sargs = elapsed + counts if mode == "strong" else elapsed
@@ -206,12 +196,14 @@ def _check_points(traj: Trajectory, sigma: ImpulseSequence, mode: str):
 def _scan(
     kind: str,
     traj: Trajectory,
-    sigma: ImpulseSequence,
     times: np.ndarray,
     lhs: np.ndarray,
     rhs: np.ndarray,
     side: np.ndarray,
 ) -> CheckReport:
+    """The report of one check: its first violation, if any, with a
+    witness that replays the whole run the trajectory was asked for
+    (its horizon, and the jumps and input that drove it)."""
     margins = lhs - rhs
     tol = TOL_SCALE * (1.0 + np.abs(rhs))
     viol = margins > tol
@@ -228,10 +220,10 @@ def _scan(
             margin=float(margins[idx]),
             t0=traj.t0,
             x0=[float(v) for v in traj.x0],
-            horizon=traj.end_time,
+            horizon=traj.horizon,
             step=traj.step,
-            sigma_times=[float(t) for t in sigma.materialize(traj.end_time)],
-            u=traj.input_used.u.to_json() if traj.input_used else None,
+            sigma_times=[float(t) for t in traj.input_used.sigma.materialize(traj.horizon)],
+            u=traj.input_used.u.to_json(),
         )
         return CheckReport(
             verdict="violated",
@@ -266,22 +258,22 @@ def _guard_r0(r0: float, beta: KLFn) -> None:
         )
 
 
-def _sides(cert: Certificate, traj: Trajectory, w: HybridInput):
+def _sides(cert: Certificate, traj: Trajectory):
     """Check points and both sides of the certificate's inequality there.
 
     Returns times, the left side (|x| for a decay bound, alpha(|x|)
     otherwise), the right side, and the side array of ``_check_points``.
-    Input energy is taken over (t0, t] at samples and over (t0, t) at
-    pre-jump entries.
+    Input energy, of the input that drove the trajectory, is taken over
+    (t0, t] at samples and over (t0, t) at pre-jump entries.
     """
     mode = "strong" if isinstance(cert, UbebsCertificate) else cert.mode
-    times, norms, sargs, side = _check_points(traj, w.sigma, mode)
+    times, norms, sargs, side = _check_points(traj, mode)
     r0 = float(np.linalg.norm(traj.x0))
     if not isinstance(cert, UbebsCertificate):
         _guard_r0(r0, cert.beta)
     if isinstance(cert, GuasCertificate):
         return times, norms, eval_kl_array(cert.beta, r0, sargs), side
-    profile = EnergyProfile(w, cert.rho1, cert.rho2, traj.t0, traj.end_time)
+    profile = EnergyProfile(traj.input_used, cert.rho1, cert.rho2, traj.t0, traj.end_time)
     energy = profile.at(times)
     pre = side == 0
     energy[pre] = profile.before_jump(times[pre])
@@ -291,67 +283,31 @@ def _sides(cert: Certificate, traj: Trajectory, w: HybridInput):
     return times, lhs, eval_kl_array(cert.beta, r0, sargs) + energy, side
 
 
-def check_guas(
-    cert: GuasCertificate, traj: Trajectory, w: HybridInput | None = None
-) -> CheckReport:
-    """Check |x(t)| <= beta(|x0|, .) pointwise on a zero-input trajectory.
-
-    A supplied ``w`` must be the input that drove the trajectory
-    (InconsistentInput otherwise), as for `check_ubebs` and `check_iiss`.
-    """
-    if w is None and traj.input_used is None:
-        raise NonZeroInput("trajectory carries no input record; cannot confirm zero input")
-    w = _resolve_input(traj, w)
-    if not w.u.is_zero():
+def check_guas(cert: GuasCertificate, traj: Trajectory) -> CheckReport:
+    """Check |x(t)| <= beta(|x0|, .) pointwise on a zero-input trajectory;
+    NonZeroInput when the trajectory was driven by a nonzero signal."""
+    if not traj.input_used.u.is_zero():
         raise NonZeroInput("decay check requires a zero-input trajectory")
-    return _scan(f"guas-{cert.mode}", traj, w.sigma, *_sides(cert, traj, w))
+    return _scan(f"guas-{cert.mode}", traj, *_sides(cert, traj))
 
 
-def _resolve_input(traj: Trajectory, w: HybridInput | None) -> HybridInput:
-    if w is None:
-        if traj.input_used is None:
-            raise InconsistentInput("no input attached to the trajectory or supplied")
-        return traj.input_used
-    used = traj.input_used
-    if used is not None and used is not w:
-        same_u = np.array_equal(used.u.breakpoints, w.u.breakpoints) and np.array_equal(
-            used.u.values, w.u.values
-        )
-        same_sigma = np.array_equal(
-            used.sigma.materialize(traj.end_time), w.sigma.materialize(traj.end_time)
-        )
-        if not (same_u and same_sigma):
-            raise InconsistentInput(
-                "supplied input differs from the one the trajectory was driven by"
-            )
-    return w
-
-
-def check_ubebs(
-    cert: UbebsCertificate, traj: Trajectory, w: HybridInput | None = None
-) -> CheckReport:
+def check_ubebs(cert: UbebsCertificate, traj: Trajectory) -> CheckReport:
     """Check alpha(|x(t)|) <= |x0| + energy over (t0, t] + c pointwise."""
-    w = _resolve_input(traj, w)
-    return _scan("ubebs", traj, w.sigma, *_sides(cert, traj, w))
+    return _scan("ubebs", traj, *_sides(cert, traj))
 
 
-def check_iiss(
-    cert: IissCertificate, traj: Trajectory, w: HybridInput | None = None
-) -> CheckReport:
+def check_iiss(cert: IissCertificate, traj: Trajectory) -> CheckReport:
     """Check alpha(|x(t)|) <= beta(|x0|, .) + energy over (t0, t]."""
-    w = _resolve_input(traj, w)
-    return _scan(f"iiss-{cert.mode}", traj, w.sigma, *_sides(cert, traj, w))
+    return _scan(f"iiss-{cert.mode}", traj, *_sides(cert, traj))
 
 
-def check_certificate(
-    cert: Certificate, traj: Trajectory, w: HybridInput | None = None
-) -> CheckReport:
+def check_certificate(cert: Certificate, traj: Trajectory) -> CheckReport:
     if isinstance(cert, GuasCertificate):
-        return check_guas(cert, traj, w)
+        return check_guas(cert, traj)
     if isinstance(cert, UbebsCertificate):
-        return check_ubebs(cert, traj, w)
+        return check_ubebs(cert, traj)
     if isinstance(cert, IissCertificate):
-        return check_iiss(cert, traj, w)
+        return check_iiss(cert, traj)
     raise ConfigError(f"unknown certificate type {type(cert).__name__}")
 
 
@@ -614,15 +570,12 @@ def falsify(
             u = InputSignal(np.array([t0]), amp * np.ones((1, system.dim_u)))
         else:
             u = _random_signal(rng, system.dim_u, t0, horizon, amp, 6)
-        w = HybridInput(u, sigma)
-        traj = simulate(system, t0, x0, w, horizon, ranges.step, strict=False)
-        rep = check_certificate(cert, traj, w)
+        traj = simulate(system, t0, x0, HybridInput(u, sigma), horizon, ranges.step, strict=False)
+        rep = check_certificate(cert, traj)
         if rep.verdict == "violated":
             wit = rep.witness
             wit.trial = trial
             wit.seed = seed
-            wit.horizon = horizon
-            wit.sigma_times = [float(t) for t in sigma.materialize(horizon)]
             return CheckReport(
                 verdict="violated",
                 kind=kind,
@@ -827,7 +780,7 @@ def _limit_trial(
     if past.size:
         t_end = float(taus[past[0]])
     traj = simulate(system, t0, x0, HybridInput(u, sigma), t_end, cfg.step, strict=False)
-    _, norms, sargs, _ = _check_points(traj, sigma, "strong")
+    _, norms, sargs, _ = _check_points(traj, "strong")
     return norms, sargs, energy
 
 

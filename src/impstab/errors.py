@@ -49,9 +49,5 @@ class NonZeroInput(ImpstabError, ValueError):
     """A zero-input check was handed a trajectory driven by nonzero input."""
 
 
-class InconsistentInput(ImpstabError, ValueError):
-    """The input supplied to a check differs from the one the trajectory used."""
-
-
 class ConfigError(ImpstabError, ValueError):
     """A configuration mapping could not be interpreted."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import HypothesisFailed, InvalidInterval
 from .impulses import ImpulseSequence, count_jumps, count_jumps_at
+from .inputs import HybridInput, zero_signal
 from .sim import STATUS_COMPLETE, Trajectory, _step_grid
 
 
@@ -62,7 +63,8 @@ def growth_profile(
 
     y(t) = p (1 + q2)^n e^{q1 (t - t0)} grows by the flow factor between
     jumps and is multiplied by (1 + q2) at each jump, which is exactly
-    the profile that turns the hypothesis into an identity.
+    the profile that turns the hypothesis into an identity.  Its
+    recorded input is the zero signal with the data's jump times.
     """
     lo, hi, nsub, _, times, jump_set = _step_grid(data.t0, horizon, step, data.sigma, np.empty(0))
     vals = [data.p]
@@ -84,6 +86,8 @@ def growth_profile(
         x_pre=np.array(pre, dtype=float)[:, None],
         status=STATUS_COMPLETE,
         step=float(step),
+        horizon=float(horizon),
+        input_used=HybridInput(zero_signal(), data.sigma),
     )
 
 

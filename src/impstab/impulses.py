@@ -93,17 +93,6 @@ class ImpulseSequence:
         self._cache_horizon = horizon
         return fresh
 
-    def to_json(self) -> dict:
-        if self._times is None:
-            raise ValueError("only finite sequences serialize to JSON")
-        return {"times": [float(t) for t in self._times]}
-
-    @classmethod
-    def from_json(cls, data) -> "ImpulseSequence":
-        if isinstance(data, dict):
-            data = data["times"]
-        return cls.from_times(np.asarray(data, dtype=float))
-
     def __repr__(self) -> str:
         if self._times is not None:
             head = np.array2string(self._times[:4], precision=4)
@@ -134,15 +123,46 @@ def count_jumps_at(
 # Families.
 
 
+def _finite(name: str, v) -> float:
+    """``v`` as a float, or ConfigError naming it unless it is a finite
+    number; True would read as 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ConfigError(f"{name!r} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _positive(name: str, v) -> float:
     """``v`` as a float, or ConfigError naming it unless it is a positive,
     finite number: a NaN period would fail at the first step, an infinite
     one would give no jumps, and True would read as 1."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-        math.isfinite(v) and v > 0
-    ):
+    if not _finite(name, v) > 0:
         raise ConfigError(f"{name!r} must be a positive, finite number, got {v!r}")
     return float(v)
+
+
+def _count(name: str, v, low: int = 0, high: float = math.inf) -> int:
+    """``v`` as an int, or ConfigError naming it unless it is an integer
+    (a float with no fraction counts) in low..high: int() would truncate
+    2.9 and read True as 1."""
+    integral = isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and float(v).is_integer()
+    )
+    if isinstance(v, bool) or not integral or not low <= v <= high:
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ConfigError(f"{name!r} must be an integer {bound}, got {v!r}")
+    return int(v)
+
+
+def _config_number(key: str, v):
+    """A config value with a string read by float(), as ``"0.5"``; any
+    other value as it is.  ConfigError naming key for a string that is
+    not a number."""
+    if isinstance(v, str):
+        try:
+            return float(v)
+        except ValueError:
+            raise ConfigError(f"{key!r} must be a number, got {v!r}") from None
+    return v
 
 
 @dataclass(frozen=True)
@@ -206,13 +226,7 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
 
 def finite_random_family(count: int, spread: float) -> ImpulseFamily:
     """A fixed number of jump times scattered over (0, spread]."""
-    # int() would truncate 2.9 and read True as 1
-    integral = isinstance(count, numbers.Integral) or (
-        isinstance(count, numbers.Real) and float(count).is_integer()
-    )
-    if isinstance(count, bool) or not integral or count < 0:
-        raise ConfigError(f"'count' must be a nonnegative integer, got {count!r}")
-    count, spread = int(count), _positive("spread", spread)
+    count, spread = _count("count", count), _positive("spread", spread)
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         rng = np.random.default_rng([1139, seed])
@@ -281,15 +295,7 @@ def family_from_config(cfg: dict) -> ImpulseFamily:
             f"impulse family 'name' must be one of {sorted(_FAMILIES)}, got {name!r}"
         )
     make, keys = _FAMILIES[name]
-    args = []
     for key in keys:
         if key not in cfg:
             raise ConfigError(f"impulse family {name!r} config is missing {key!r}")
-        v = cfg[key]
-        if isinstance(v, str):
-            try:
-                v = float(v)
-            except ValueError:
-                raise ConfigError(f"{key!r} must be a number, got {v!r}") from None
-        args.append(v)
-    return make(*args)
+    return make(*(_config_number(key, cfg[key]) for key in keys))

@@ -10,14 +10,14 @@ windows, agreement with truncation) hold to rounding error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .comparison import ComparisonFn, eval_array
-from .errors import InvalidInterval, OutOfRange
-from .impulses import ImpulseSequence
+from .errors import ConfigError, InvalidInterval, OutOfRange
+from .impulses import ImpulseSequence, _config_number, _count, _finite, _positive
+from .systems import MAX_DIM
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,32 @@ def constant_signal(value, start: float = 0.0) -> InputSignal:
     return InputSignal(np.array([start]), row[None, :])
 
 
+def _pulses(
+    amplitude: float,
+    ratio: float,
+    period: float,
+    width: float,
+    count: int,
+    start: float,
+    dim: int,
+) -> InputSignal:
+    """``count`` rectangular pulses of the given width, one per period,
+    pulse k of amplitude ``amplitude * ratio**k``.  A pulse that lasts
+    until the next one starts (width == period) runs into it."""
+    if width <= 0 or period <= 0 or width > period or count < 1:
+        raise ConfigError("need 0 < 'width' <= 'period' and 'count' >= 1")
+    bps = [start - 1.0]
+    vals = [np.zeros(dim)]
+    for k in range(count):
+        on = start + k * period
+        bps.append(on)
+        vals.append(amplitude * ratio**k * np.ones(dim))
+        if k == count - 1 or on + width < start + (k + 1) * period:
+            bps.append(on + width)
+            vals.append(np.zeros(dim))
+    return InputSignal(np.asarray(bps), np.asarray(vals)).canonical()
+
+
 def pulse_train(
     amplitude: float,
     period: float,
@@ -120,17 +146,7 @@ def pulse_train(
     dim: int = 1,
 ) -> InputSignal:
     """``count`` rectangular pulses of the given width, one per period."""
-    if width <= 0 or period <= 0 or width > period or count < 1:
-        raise ValueError("need 0 < width <= period and count >= 1")
-    bps = [start - 1.0]
-    vals = [np.zeros(dim)]
-    for k in range(count):
-        on = start + k * period
-        bps.append(on)
-        vals.append(amplitude * np.ones(dim))
-        bps.append(on + width)
-        vals.append(np.zeros(dim))
-    return InputSignal(np.asarray(bps), np.asarray(vals)).canonical()
+    return _pulses(amplitude, 1.0, period, width, count, start, dim)
 
 
 def decaying_burst(
@@ -145,52 +161,80 @@ def decaying_burst(
     """Pulses whose amplitude shrinks geometrically; finite total energy
     for identity-like gauges even as count grows."""
     if not (0 < ratio < 1):
-        raise ValueError("ratio must lie in (0, 1)")
-    if width <= 0 or period <= 0 or width > period or count < 1:
-        raise ValueError("need 0 < width <= period and count >= 1")
-    bps = [start - 1.0]
-    vals = [np.zeros(dim)]
-    for k in range(count):
-        on = start + k * period
-        bps.append(on)
-        vals.append(amplitude * ratio**k * np.ones(dim))
-        bps.append(on + width)
-        vals.append(np.zeros(dim))
-    return InputSignal(np.asarray(bps), np.asarray(vals)).canonical()
+        raise ConfigError("'ratio' must lie in (0, 1)")
+    return _pulses(amplitude, ratio, period, width, count, start, dim)
+
+
+def _numbers(key: str, v) -> np.ndarray:
+    """``v``, a number or nested lists of them, as a float array; a string
+    entry is read by float().  ConfigError naming key for a bool, a
+    non-number or a non-finite number."""
+    try:
+        if any(isinstance(x, bool) for x in np.asarray(v, dtype=object).ravel()):
+            raise ValueError
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must hold numbers, got {v!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key!r} must hold finite numbers, got {v!r}")
+    return arr
+
+
+_PRESETS = ("zero", "constant", "pulse-train", "decaying-burst")
 
 
 def signal_from_config(cfg, dim: int = 1) -> InputSignal:
+    """An input signal from None or "zero", a preset object or a raw
+    ``{"breakpoints": [...], "values": [...]}``.
+
+    The presets and their keys: "zero" (dim), "constant" (value, start),
+    "pulse-train" (amplitude, period, width, count, start, dim) and
+    "decaying-burst" (those and ratio).  A key left out takes its
+    default; dim defaults to the ``dim`` argument.  A number may be given
+    as a string, read by float().  ConfigError naming the key for a
+    missing key, an unknown preset, a bool, a non-number or a non-finite
+    number, a period or width that is not positive, a count that is not
+    an integer of at least 1 and a dim that is not an integer in
+    1..MAX_DIM; ConfigError too for a raw signal `InputSignal` rejects.
+    """
     if cfg is None or cfg == "zero":
         return zero_signal(dim)
-    if isinstance(cfg, dict) and "preset" in cfg:
-        preset = cfg["preset"]
-        if preset == "zero":
-            return zero_signal(int(cfg.get("dim", dim)))
-        if preset == "constant":
-            return constant_signal(cfg.get("value", 1.0), float(cfg.get("start", 0.0)))
-        if preset == "pulse-train":
-            return pulse_train(
-                float(cfg.get("amplitude", 1.0)),
-                float(cfg.get("period", 1.0)),
-                float(cfg.get("width", 0.5)),
-                int(cfg.get("count", 4)),
-                float(cfg.get("start", 0.0)),
-                int(cfg.get("dim", dim)),
-            )
-        if preset == "decaying-burst":
-            return decaying_burst(
-                float(cfg.get("amplitude", 1.0)),
-                float(cfg.get("ratio", 0.5)),
-                float(cfg.get("period", 1.0)),
-                float(cfg.get("width", 0.5)),
-                int(cfg.get("count", 4)),
-                float(cfg.get("start", 0.0)),
-                int(cfg.get("dim", dim)),
-            )
-        raise ValueError(f"unknown input preset {preset!r}")
-    if isinstance(cfg, dict):
-        return InputSignal.from_json(cfg)
-    raise ValueError(f"cannot interpret input config {cfg!r}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"cannot interpret input config {cfg!r}")
+
+    def arg(key, default, check=_finite, *bounds):
+        if key not in cfg:
+            return default
+        return check(key, _config_number(key, cfg[key]), *bounds)
+
+    if "preset" not in cfg:
+        for key in ("breakpoints", "values"):
+            if key not in cfg:
+                raise ConfigError(f"input signal config is missing {key!r}")
+        bps, vals = _numbers("breakpoints", cfg["breakpoints"]), _numbers("values", cfg["values"])
+        try:
+            return InputSignal(bps, vals)
+        except ValueError as exc:
+            raise ConfigError(f"bad input signal 'breakpoints' and 'values': {exc}") from None
+    preset = cfg["preset"]
+    if preset not in _PRESETS:
+        raise ConfigError(f"input 'preset' must be one of {_PRESETS}, got {preset!r}")
+    if preset == "constant":
+        return constant_signal(_numbers("value", cfg.get("value", 1.0)), arg("start", 0.0))
+    dim = arg("dim", dim, _count, 1, MAX_DIM)
+    if preset == "zero":
+        return zero_signal(dim)
+    amplitude = arg("amplitude", 1.0)
+    shape = (
+        arg("period", 1.0, _positive),
+        arg("width", 0.5, _positive),
+        arg("count", 4, _count, 1),
+        arg("start", 0.0),
+        dim,
+    )
+    if preset == "pulse-train":
+        return pulse_train(amplitude, *shape)
+    return decaying_burst(amplitude, arg("ratio", 0.5), *shape)
 
 
 @dataclass(frozen=True)

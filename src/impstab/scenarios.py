@@ -97,7 +97,7 @@ def _resolve_system(ref) -> ImpulsiveSystem:
 
 def _bound_series(cert, traj: Trajectory) -> np.ndarray:
     """Certificate right side converted to a bound on |x| at the samples."""
-    _, _, rhs, side = _sides(cert, traj, traj.input_used)
+    _, _, rhs, side = _sides(cert, traj)
     y = rhs[side == 1]
     if isinstance(cert, GuasCertificate):
         return y
@@ -158,10 +158,9 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
         sigma = ImpulseSequence.from_times(np.asarray(chk["sigma_times"], dtype=float))
     else:
         sigma = family.sampler(check_seed, t0 + horizon + 1.0)
-    u = signal_from_config(chk.get("input"), system.dim_u)
-    w = HybridInput(u, sigma)
+    w = HybridInput(signal_from_config(chk.get("input"), system.dim_u), sigma)
     traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
-    return check_certificate(cert, traj, w), traj, cert
+    return check_certificate(cert, traj), traj, cert
 
 
 def run_scenario(scenario, out_dir: str | None = None) -> dict:

@@ -53,7 +53,8 @@ class Trajectory:
     x_pre: np.ndarray  # (j, n) the state just before each jump
     status: str
     step: float
-    input_used: HybridInput | None = None
+    horizon: float  # the end time the run was asked for
+    input_used: HybridInput  # the input that drove the run
 
     @property
     def x0(self) -> np.ndarray:
@@ -361,25 +362,21 @@ def simulate(
         x_pre=np.array(pre, dtype=float).reshape(-1, system.dim_x),
         status=status,
         step=float(step),
+        horizon=float(horizon),
         input_used=w,
     )
 
 
-def integral_residual(
-    traj: Trajectory, system: ImpulsiveSystem, w: HybridInput | None = None
-) -> float:
+def integral_residual(traj: Trajectory, system: ImpulsiveSystem) -> float:
     """Worst defect of the integral identity along the samples.
 
-    Reconstructs x(t) - x(t0) as the quadrature of the flow along the
-    sampled path plus the recorded jump increments, and returns the
-    largest Euclidean mismatch.  Quadrature is Simpson with a Hermite
-    midpoint, fourth order, so the defect measures the trajectory, not
-    the quadrature.
+    Reconstructs x(t) - x(t0) as the quadrature of the flow, driven by
+    the trajectory's own input, along the sampled path plus the recorded
+    jump increments, and returns the largest Euclidean mismatch.
+    Quadrature is Simpson with a Hermite midpoint, fourth order, so the
+    defect measures the trajectory, not the quadrature.
     """
-    if w is None:
-        w = traj.input_used
-    if w is None:
-        raise InvalidSystem("no input attached to the trajectory or supplied")
+    w = traj.input_used
     ts = traj.times
     xs = traj.states
     k = len(ts)
@@ -463,5 +460,6 @@ def closed_form_linear_impulsive(
         x_pre=np.array(pre, dtype=float)[:, None],
         status=STATUS_COMPLETE,
         step=float(step),
+        horizon=float(horizon),
         input_used=w,
     )

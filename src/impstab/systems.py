@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import ast
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, InvalidSystem
+from .impulses import _count
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,20 @@ def map_source(h: Callable) -> MapSource | None:
     return src if isinstance(src, MapSource) else None
 
 
+# The largest dim_x or dim_u a compiled map takes: every name x1..xn and
+# u1..um is written out, so a huge dimension would only exhaust memory.
+MAX_DIM = 1000
+
+
 def compile_map(exprs: list[str], dim_x: int, dim_u: int) -> Callable:
     """Compile component expressions over t, x1..xn, u1..um to a map.
 
     The map carries its expressions as `source` (see `map_source`), from
-    which the simulator writes them into its RK4 kernel.
+    which the simulator writes them into its RK4 kernel.  ConfigError
+    naming dim_x or dim_u unless it is an integer in 1..MAX_DIM, before
+    any name is built.
     """
-    if dim_x < 1 or dim_u < 1:
-        raise ConfigError(f"state and input dimensions must be >= 1, got {dim_x}, {dim_u}")
+    dim_x, dim_u = _count("dim_x", dim_x, 1, MAX_DIM), _count("dim_u", dim_u, 1, MAX_DIM)
     if len(exprs) != dim_x:
         raise ConfigError(f"expected {dim_x} component expressions, got {len(exprs)}")
     xs = [f"x{i + 1}" for i in range(dim_x)]
@@ -141,17 +147,6 @@ def sandbox() -> dict:
     return {"__builtins__": {}, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
 
 
-def _config_dimension(cfg: dict, key: str) -> int:
-    v = cfg[key]
-    # bool is an int subclass, and int() would truncate 1.9 or fail on "abc"
-    integral = isinstance(v, numbers.Integral) or (
-        isinstance(v, numbers.Real) and float(v).is_integer()
-    )
-    if isinstance(v, bool) or not integral:
-        raise ConfigError(f"system config {key!r} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _config_expressions(cfg: dict, key: str) -> list[str]:
     v = cfg[key]
     # list() of a bare string would split it into one-character expressions
@@ -163,12 +158,12 @@ def _config_expressions(cfg: dict, key: str) -> list[str]:
 def system_from_config(cfg: dict) -> ImpulsiveSystem:
     """Build a system from component expressions.
 
-    Expected keys: name, dim_x and dim_u (integers), flow and jump (lists
-    of expression strings).  Other keys are ignored.
+    Expected keys: name, dim_x and dim_u (integers in 1..MAX_DIM), flow
+    and jump (lists of expression strings).  Other keys are ignored.
     """
     try:
-        dim_x = _config_dimension(cfg, "dim_x")
-        dim_u = _config_dimension(cfg, "dim_u")
+        dim_x = _count("dim_x", cfg["dim_x"], 1, MAX_DIM)
+        dim_u = _count("dim_u", cfg["dim_u"], 1, MAX_DIM)
         flow_exprs = _config_expressions(cfg, "flow")
         jump_exprs = _config_expressions(cfg, "jump")
     except (KeyError, TypeError) as exc:

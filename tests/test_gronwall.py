@@ -1,6 +1,7 @@
 """Jump-aware integral inequality: bound, extremal profile, verifier."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from impstab.gronwall import (
     verify_gronwall,
 )
 from impstab.impulses import ImpulseSequence
-from impstab.sim import Trajectory
 
 # p=1, q1=1, q2=2, one jump in (0, 1]: 1 * (1+2)^1 * e^1 = 3e.
 BOUND_ORACLE = 8.154845485377136
@@ -84,6 +84,9 @@ class TestGrowthProfile:
         assert np.allclose(traj.states[:, 0], expect, rtol=1e-12, atol=0.0)
         # pre-jump states carry the bound with one jump fewer
         assert traj.jumps.tolist() == [0.7, 1.4, 2.9]
+        # the recorded input: no signal, the data's jump times
+        assert traj.horizon == 4.0 and traj.input_used.sigma is d.sigma
+        assert traj.input_used.u.is_zero()
         x_post = traj.states[np.searchsorted(traj.times, traj.jumps), 0]
         for n_pre, (tau, x_pre) in enumerate(zip(traj.jumps, traj.x_pre[:, 0])):
             want = d.p * (1.0 + d.q2) ** n_pre * math.exp(d.q1 * (tau - d.t0))
@@ -144,15 +147,7 @@ class TestVerifier:
         ys = traj.states.copy()
         i = len(ys) // 2
         ys[i, 0] *= 1.5
-        forged = Trajectory(
-            t0=traj.t0,
-            times=traj.times,
-            states=ys,
-            jumps=traj.jumps,
-            x_pre=traj.x_pre,
-            status=traj.status,
-            step=traj.step,
-        )
+        forged = replace(traj, states=ys)
         with pytest.raises(HypothesisFailed) as exc:
             verify_gronwall(forged, d)
         assert exc.value.witness_time == pytest.approx(float(traj.times[i]), abs=1e-6)
@@ -160,14 +155,11 @@ class TestVerifier:
     def test_scalar_only_and_t0_match(self):
         d = data()
         traj = growth_profile(d, 1.0)
-        wide = Trajectory(
-            t0=traj.t0,
-            times=traj.times,
+        wide = replace(
+            traj,
             states=np.hstack([traj.states, traj.states]),
             jumps=np.empty(0),
             x_pre=np.empty((0, 2)),
-            status=traj.status,
-            step=traj.step,
         )
         with pytest.raises(ValueError):
             verify_gronwall(wide, d)

@@ -65,11 +65,6 @@ class TestCounting:
         with pytest.raises(ValueError):
             seq(1.0, 1.0)
 
-    def test_json_roundtrip(self):
-        s = seq(0.25, 1.5)
-        back = ImpulseSequence.from_json(s.to_json())
-        assert list(back.materialize(5.0)) == [0.25, 1.5]
-
 
 class TestFamilies:
     def test_periodic_times(self):

@@ -1,10 +1,13 @@
 """Piecewise-constant inputs and the flow-plus-jump energy measure."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from impstab.comparison import identity, power
-from impstab.errors import InvalidInterval, OutOfRange
+from impstab.errors import ConfigError, InvalidInterval, OutOfRange
 from impstab.impulses import ImpulseSequence
 from impstab.inputs import (
     EnergyProfile,
@@ -67,6 +70,102 @@ class TestSignal:
         )
         assert u.value_at(0.1)[0] == 4.0
         assert u.value_at(2.1)[0] == 1.0
+
+
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            ({"preset": "pulse-train", "count": 2.9}, "count"),
+            ({"preset": "pulse-train", "count": True}, "count"),
+            ({"preset": "pulse-train", "count": 0}, "count"),
+            ({"preset": "decaying-burst", "count": math.inf}, "count"),
+            ({"preset": "pulse-train", "dim": 1.5}, "dim"),
+            ({"preset": "zero", "dim": 10**9}, "dim"),
+            ({"preset": "zero", "dim": False}, "dim"),
+            ({"preset": "pulse-train", "amplitude": True}, "amplitude"),
+            ({"preset": "pulse-train", "amplitude": "abc"}, "amplitude"),
+            ({"preset": "pulse-train", "amplitude": math.nan}, "amplitude"),
+            ({"preset": "pulse-train", "period": math.inf}, "period"),
+            ({"preset": "pulse-train", "width": -0.5}, "width"),
+            ({"preset": "pulse-train", "start": [0.0]}, "start"),
+            ({"preset": "decaying-burst", "ratio": math.nan}, "ratio"),
+            ({"preset": "constant", "value": "abc"}, "value"),
+            ({"preset": "constant", "value": [1.0, True]}, "value"),
+            ({"preset": "constant", "start": "inf"}, "start"),
+            ({"breakpoints": [0.0]}, "values"),
+            ({"values": [[1.0]]}, "breakpoints"),
+            ({"breakpoints": [0.0], "values": [[math.inf]]}, "values"),
+            ({"breakpoints": [False], "values": [[1.0]]}, "breakpoints"),
+            ({"preset": "ramp"}, "preset"),
+        ],
+    )
+    def test_hostile_configs_name_their_key(self, cfg, named):
+        """int() read a count of 2.9 as 2 and True as 1, a missing key
+        escaped as a bare KeyError, and float() let NaN, infinities and
+        bools through."""
+        with pytest.raises(ConfigError, match=repr(named)):
+            signal_from_config(cfg)
+
+    def test_quoted_numbers_read_as_numbers(self):
+        quoted = signal_from_config(
+            {"preset": "pulse-train", "amplitude": "1.5", "count": "3", "dim": "2"}
+        )
+        plain = signal_from_config(
+            {"preset": "pulse-train", "amplitude": 1.5, "count": 3, "dim": 2}
+        )
+        assert np.array_equal(quoted.breakpoints, plain.breakpoints)
+        assert np.array_equal(quoted.values, plain.values)
+
+    def test_pulse_builders_keep_their_bits(self):
+        """sha256 of the breakpoints and values of these signals, computed
+        before the two builders shared one: 1.0**k is 1.0, so a pulse
+        train is a decaying burst at ratio 1, bit for bit."""
+        h = hashlib.sha256()
+        for build, args in [
+            (pulse_train, (1.0, 1.0, 0.5, 4)),
+            (pulse_train, (2.5, 0.9, 0.25, 7, 0.3, 2)),
+            (pulse_train, (-1.5, 0.8, 0.79, 3, -0.2)),
+            (pulse_train, (1e-3, 0.1, 0.05, 50, 1.7, 3)),
+            (pulse_train, (0.0, 1.0, 0.5, 2)),
+            (decaying_burst, (4.0, 0.5, 1.0, 0.5, 3)),
+            (decaying_burst, (1.3, 0.9, 0.7, 0.35, 20, 0.1, 2)),
+            (decaying_burst, (2.0, 0.1, 1.0, 0.999, 5)),
+            (decaying_burst, (-3.0, 0.99, 0.3, 0.1, 40, 2.0, 1)),
+        ]:
+            u = build(*args)
+            h.update(u.breakpoints.tobytes() + u.values.tobytes())
+        for cfg in (
+            {"preset": "pulse-train"},
+            {"preset": "decaying-burst"},
+            {
+                "preset": "pulse-train",
+                "count": 3,
+                "period": 2.0,
+                "width": 0.5,
+                "amplitude": 1.5,
+                "start": 1.0,
+            },
+        ):
+            u = signal_from_config(cfg, 2)
+            h.update(u.breakpoints.tobytes() + u.values.tobytes())
+        assert h.hexdigest() == "9dae7434e701b80d57014e6b34adc481b6b72bac8bde3d99980bcb0c979aaa0f"
+
+    def test_pulse_as_long_as_its_period_runs_into_the_next(self):
+        """width == period is allowed; its pulses once put an off time on
+        the next on time and failed as not strictly increasing."""
+        u = pulse_train(2.0, 1.0, 1.0, 3)
+        assert u.breakpoints.tolist() == [0.0, 3.0]
+        assert u.values[:, 0].tolist() == [2.0, 0.0]
+        u = decaying_burst(1.0, 0.5, 0.7, 0.7, 4, start=0.1)
+        assert u.values[:, 0].tolist() == [1.0, 0.5, 0.25, 0.125, 0.0]
+        assert np.all(np.diff(u.breakpoints) > 0.0)
+
+    def test_builders_reject_bad_shapes(self):
+        for args in [(1.0, 1.0, 1.5, 2), (1.0, 1.0, 0.0, 2), (1.0, 1.0, 0.5, 0)]:
+            with pytest.raises(ConfigError, match="'width'"):
+                pulse_train(*args)
+        with pytest.raises(ConfigError, match="'ratio'"):
+            decaying_burst(1.0, 1.0, 1.0, 0.5, 2)
 
 
 class TestTruncate:

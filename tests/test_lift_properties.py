@@ -161,8 +161,8 @@ def test_strong_dominates_weak_pointwise(sigma, t0, x0, step):
     strong time than in elapsed time."""
     w = HybridInput(zero_signal(), sigma)
     traj = simulate(get_example("pure-jump"), t0, [x0], w, t0 + 4.0, step)
-    ts, norms, strong, side = _check_points(traj, sigma, "strong")
-    ts_w, norms_w, weak, side_w = _check_points(traj, sigma, "weak")
+    ts, norms, strong, side = _check_points(traj, "strong")
+    ts_w, norms_w, weak, side_w = _check_points(traj, "weak")
     assert np.array_equal(ts, ts_w) and np.array_equal(norms, norms_w)
     assert np.array_equal(side, side_w)
     assert np.all(strong >= weak)
@@ -277,7 +277,7 @@ def test_weak_lift_check_starts_no_bisection(monkeypatch):
         w = HybridInput(zero_signal(), family.sampler(i, t0 + 10.0))
         traj = simulate(get_example("pure-jump"), t0, [x0], w, t0 + 10.0, 1e-2)
         assert check_guas(lifted, traj).verdict == "pass"
-        strong = _check_points(traj, w.sigma, "strong")[2]
+        strong = _check_points(traj, "strong")[2]
         got = read_g(1.0, strong)
         assert not sizes
         want = np.array([bisected_g(math.ceil, v) for v in strong])

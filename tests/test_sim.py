@@ -27,7 +27,6 @@ from impstab.sim import (
     STATUS_COMPLETE,
     STATUS_DIVERGED,
     STATUS_STEP_FAILURE,
-    Trajectory,
     closed_form_linear_impulsive,
     integral_residual,
     simulate,
@@ -78,6 +77,7 @@ class TestAgainstClosedForm:
         assert np.array_equal(traj.times, exact.times)
         assert len(traj.jumps) > 0
         assert traj.jumps.tobytes() == exact.jumps.tobytes()
+        assert (exact.horizon, exact.input_used) == (traj.horizon, w)
 
     def test_accuracy_random_linear(self):
         rng = np.random.default_rng(5)
@@ -168,6 +168,8 @@ class TestFailureModes:
         assert traj.norms()[-1] >= DIVERGENCE_RADIUS
         assert traj.end_time < 30.0
         assert np.all(np.isfinite(traj.states))
+        # the run keeps the horizon it was asked for and the input it got
+        assert traj.horizon == 30.0 and traj.input_used is w
 
     def test_divergence_past_fsum_range(self):
         """Finite squares whose sum overflows still mean divergence."""
@@ -266,34 +268,8 @@ class TestIntegralResidual:
         traj = simulate(sys1, 0.0, [2.0], w, 2.0, 1e-2)
         states = traj.states.copy()
         states[len(states) // 2, 0] += 1e-3
-        forged = Trajectory(
-            t0=traj.t0,
-            times=traj.times,
-            states=states,
-            jumps=traj.jumps,
-            x_pre=traj.x_pre,
-            status=traj.status,
-            step=traj.step,
-            input_used=traj.input_used,
-        )
+        forged = replace(traj, states=states)
         assert integral_residual(forged, sys1) >= 5e-4
-
-    def test_requires_an_input(self):
-        sys1 = make_linear_system(-1.0, 0.5)
-        w = hybrid(zero_signal())
-        traj = simulate(sys1, 0.0, [1.0], w, 1.0, 1e-2)
-        bare = Trajectory(
-            t0=traj.t0,
-            times=traj.times,
-            states=traj.states,
-            jumps=traj.jumps,
-            x_pre=traj.x_pre,
-            status=traj.status,
-            step=traj.step,
-        )
-        with pytest.raises(InvalidSystem):
-            integral_residual(bare, sys1)
-        assert integral_residual(bare, sys1, w) <= 1e-8
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import pytest
 
 from impstab.errors import ConfigError
 from impstab.library import EXAMPLE_CONFIGS, get_example
-from impstab.systems import compile_map, system_from_config
+from impstab.systems import MAX_DIM, compile_map, system_from_config
 
 
 class TestExpressions:
@@ -68,6 +68,17 @@ class TestConfig:
             )
         with pytest.raises(ConfigError):
             compile_map(["-x1"], 1, 0)
+
+    @pytest.mark.parametrize("key", ["dim_x", "dim_u"])
+    def test_huge_dimension_rejected_before_names_are_built(self, key):
+        """compile_map writes out every name x1..xn and u1..um: a dim_u of
+        1e5 once took about 110 MB, and 1e9 allocated until memory ran out."""
+        dims = {"dim_x": 1, "dim_u": 1, key: 10**9}
+        with pytest.raises(ConfigError, match=repr(key)):
+            compile_map(["-x1"], **dims)
+        with pytest.raises(ConfigError, match=repr(key)):
+            system_from_config({**EXAMPLE_CONFIGS["lin-contract"], **dims})
+        compile_map(["-x1"] * MAX_DIM, MAX_DIM, MAX_DIM)
 
     @pytest.mark.parametrize(
         "key, value",
