@@ -36,7 +36,7 @@ from .comparison import (
     ubebs_alpha_from_iiss,
 )
 from .errors import ClassViolation, ConfigError, NonZeroInput, OutOfRange
-from .impulses import ImpulseFamily, ImpulseSequence, count_jumps_at
+from .impulses import ImpulseFamily, ImpulseSequence
 from .inputs import EnergyProfile, HybridInput, InputSignal, _row_norms, zero_signal
 from .sim import DIVERGENCE_RADIUS, STATUS_COMPLETE, Trajectory, simulate
 from .systems import ImpulsiveSystem
@@ -77,8 +77,8 @@ class UbebsCertificate:
         require_kinf(self.alpha, "alpha")
         require_kinf(self.rho1, "rho1")
         require_kinf(self.rho2, "rho2")
-        if self.c < 0:
-            raise ClassViolation("offset c must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ClassViolation(f"offset c must be a finite number >= 0, got {self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -172,25 +172,26 @@ class CheckReport:
 def _check_points(traj: Trajectory, mode: str):
     """Evaluation points: every sample plus the pre-jump values.
 
-    Returns times, state norms, time arguments (strong or elapsed), and
-    a side array (0 = pre-jump entry, 1 = sample), sorted so pre-jump
-    entries come directly before their post-jump sample.
+    Returns times, state norms, time arguments (strong or elapsed), a
+    side array (0 = pre-jump entry, 1 = sample) and the jumps counted
+    over (t0, t] at a sample and over (t0, t) at a pre-jump entry, in
+    time order with each pre-jump entry directly before its post-jump
+    sample.  The counts are the trajectory's own, from its grid; applied
+    jump i is the first sample whose count exceeds i.
     """
-    ts = traj.times
-    norms = traj.norms()
-    taus = traj.input_used.sigma.materialize(traj.end_time)
-    counts = count_jumps_at(taus, traj.t0, ts)
+    n, nj = len(traj.times), len(traj.jumps)
+    post = np.searchsorted(traj.counts, np.arange(1, nj + 1))
+    # the sample each point reads: a post-jump one twice, its pre entry first
+    src = np.repeat(np.arange(n), np.bincount(post, minlength=n) + 1)
+    side = np.ones(n + nj, dtype=int)
+    side[post + np.arange(nj)] = 0
+    pre = side == 0
+    ts = traj.times[src]
+    norms = traj.norms()[src]
+    norms[pre] = _row_norms(traj.x_pre)
+    counts = traj.counts[src] - pre
     elapsed = ts - traj.t0
-    sargs = elapsed + counts if mode == "strong" else elapsed
-    jt = traj.jumps
-    jel = jt - traj.t0
-    jc = count_jumps_at(taus, traj.t0, jt) - 1  # jump at jt not yet counted
-    ts = np.concatenate((ts, jt))
-    norms = np.concatenate((norms, _row_norms(traj.x_pre)))
-    sargs = np.concatenate((sargs, jel + jc if mode == "strong" else jel))
-    side = np.concatenate((np.ones(len(traj.times), dtype=int), np.zeros(len(jt), dtype=int)))
-    order = np.lexsort((side, ts))
-    return ts[order], norms[order], sargs[order], side[order]
+    return ts, norms, elapsed + counts if mode == "strong" else elapsed, side, counts
 
 
 def _scan(
@@ -207,9 +208,9 @@ def _scan(
     margins = lhs - rhs
     tol = TOL_SCALE * (1.0 + np.abs(rhs))
     viol = margins > tol
-    worst = float(np.max(margins)) if margins.size else 0.0
+    worst = float(margins.max()) if margins.size else 0.0  # NaN if any is
     samples = int(len(times))
-    if np.any(viol):
+    if viol.any():
         idx = int(np.argmax(viol))  # arrays are time-ordered: first violation
         wit = Witness(
             check=kind,
@@ -232,10 +233,12 @@ def _scan(
             samples=samples,
             witness=wit,
         )
-    verdict = "pass" if traj.status == STATUS_COMPLETE else "inconclusive"
     details = {}
-    if verdict == "inconclusive":
+    if traj.status != STATUS_COMPLETE:
         details["note"] = f"trajectory ended early with status {traj.status!r}"
+    elif not np.isfinite(margins).all():
+        details["note"] = "a margin is not finite, so the bound was not checked there"
+    verdict = "inconclusive" if details else "pass"
     return CheckReport(
         verdict=verdict,
         kind=kind,
@@ -264,19 +267,18 @@ def _sides(cert: Certificate, traj: Trajectory):
     Returns times, the left side (|x| for a decay bound, alpha(|x|)
     otherwise), the right side, and the side array of ``_check_points``.
     Input energy, of the input that drove the trajectory, is taken over
-    (t0, t] at samples and over (t0, t) at pre-jump entries.
+    (t0, t] at samples and over (t0, t) at pre-jump entries, its jump
+    part read at each point's jump count.
     """
     mode = "strong" if isinstance(cert, UbebsCertificate) else cert.mode
-    times, norms, sargs, side = _check_points(traj, mode)
+    times, norms, sargs, side, counts = _check_points(traj, mode)
     r0 = float(np.linalg.norm(traj.x0))
     if not isinstance(cert, UbebsCertificate):
         _guard_r0(r0, cert.beta)
     if isinstance(cert, GuasCertificate):
         return times, norms, eval_kl_array(cert.beta, r0, sargs), side
     profile = EnergyProfile(traj.input_used, cert.rho1, cert.rho2, traj.t0, traj.end_time)
-    energy = profile.at(times)
-    pre = side == 0
-    energy[pre] = profile.before_jump(times[pre])
+    energy = profile._priced(times, counts)
     lhs = _gauge_values(cert.alpha, norms)
     if isinstance(cert, UbebsCertificate):
         return times, lhs, r0 + energy + cert.c, side
@@ -432,7 +434,7 @@ def _random_signal(
     if bps.size == 0 or amp <= 0.0:
         return zero_signal(dim)
     vals = rng.uniform(-amp, amp, (bps.size, dim))
-    return InputSignal(bps, vals)
+    return InputSignal._trusted(bps, vals)
 
 
 def _pulses_at_jumps(
@@ -448,17 +450,15 @@ def _pulses_at_jumps(
     if taus.size == 0 or amp <= 0.0:
         return zero_signal(dim)
     edges = np.unique(np.concatenate((taus - width, taus + width)))
-    rows = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        j = int(np.searchsorted(taus, mid))
-        near = min(
-            abs(mid - taus[j - 1]) if j > 0 else math.inf,
-            abs(taus[j] - mid) if j < taus.size else math.inf,
-        )
-        rows.append(amp * np.ones(dim) if near <= width else np.zeros(dim))
-    rows.append(np.zeros(dim))
-    return InputSignal(edges, np.asarray(rows)).canonical()
+    # amp on each piece between edges whose midpoint is within width of a
+    # jump (the jumps on either side of it), zero on the rest and the last
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    j = np.searchsorted(taus, mid)
+    padded = np.concatenate(([-math.inf], taus, [math.inf]))
+    near = np.minimum(mid - padded[j], padded[j + 1] - mid)
+    vals = np.zeros((edges.size, dim))
+    vals[:-1][near <= width] = amp
+    return InputSignal._trusted(edges, vals).canonical()
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -493,13 +493,9 @@ def _scrambled_halton(n: int, seed: int) -> np.ndarray:
     out = np.empty((n, len(_HALTON_BASES)))
     for col, base in enumerate(_HALTON_BASES):
         count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], count, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        weights = [1.0 / base]
-        for _ in range(count - 1):
-            weights.append(weights[-1] / base)
-        weights = np.array(weights)
+        # one shuffle per row, drawn in turn
+        perms = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
+        weights = np.divide.accumulate(np.concatenate(([1.0], np.full(count, float(base)))))[1:]
         # digits past the first `used` are 0 for every index below n, so
         # their terms are one constant per digit
         used = 1
@@ -567,7 +563,7 @@ def falsify(
         elif variant == 1:
             u = _pulses_at_jumps(sigma, system.dim_u, amp, 2.0 * ranges.step, t0, horizon)
         elif variant == 3:
-            u = InputSignal(np.array([t0]), amp * np.ones((1, system.dim_u)))
+            u = InputSignal._trusted(np.array([t0]), amp * np.ones((1, system.dim_u)))
         else:
             u = _random_signal(rng, system.dim_u, t0, horizon, amp, 6)
         traj = simulate(system, t0, x0, HybridInput(u, sigma), horizon, ranges.step, strict=False)
@@ -585,7 +581,8 @@ def falsify(
                 witness=wit,
                 details={"trial_style": ("random", "low-discrepancy", "adversarial")[style]},
             )
-        worst = max(worst, rep.worst_margin)
+        if rep.worst_margin > worst or math.isnan(rep.worst_margin):  # NaN stays
+            worst = rep.worst_margin
         if rep.verdict == "inconclusive":
             inconclusive += 1
     return CheckReport(
@@ -780,7 +777,7 @@ def _limit_trial(
     if past.size:
         t_end = float(taus[past[0]])
     traj = simulate(system, t0, x0, HybridInput(u, sigma), t_end, cfg.step, strict=False)
-    _, norms, sargs, _ = _check_points(traj, "strong")
+    _, norms, sargs, _, _ = _check_points(traj, "strong")
     return norms, sargs, energy
 
 

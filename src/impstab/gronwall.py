@@ -66,15 +66,17 @@ def growth_profile(
     the profile that turns the hypothesis into an identity.  Its
     recorded input is the zero signal with the data's jump times.
     """
-    lo, hi, nsub, _, times, jump_set = _step_grid(data.t0, horizon, step, data.sigma, np.empty(0))
+    lo, hi, nsub, _, times, counts, jump_ends = _step_grid(
+        data.t0, horizon, step, data.sigma, np.empty(0)
+    )
     vals = [data.p]
     jumped, pre = [], []
     y = data.p
-    for lo_k, hi_k, end in zip(lo.tolist(), hi.tolist(), np.cumsum(nsub).tolist()):
+    for lo_k, hi_k, end, jumps in zip(lo.tolist(), hi.tolist(), np.cumsum(nsub).tolist(), jump_ends):
         seg_times = times[len(vals) : end + 1].tolist()
         vals.extend(y * math.exp(data.q1 * (t - lo_k)) for t in seg_times)
         y = vals[-1]
-        if hi_k in jump_set:
+        if jumps:
             jumped.append(hi_k)
             pre.append(y)
             y = vals[-1] = (1.0 + data.q2) * y
@@ -84,6 +86,7 @@ def growth_profile(
         states=np.asarray(vals)[:, None],
         jumps=np.array(jumped, dtype=float),
         x_pre=np.array(pre, dtype=float)[:, None],
+        counts=counts,
         status=STATUS_COMPLETE,
         step=float(step),
         horizon=float(horizon),

@@ -182,17 +182,18 @@ def empty_family() -> ImpulseFamily:
 
 
 def periodic_family(period: float) -> ImpulseFamily:
+    """Jumps at every multiple of period.  The draw ignores its seed, so
+    every sample is one shared sequence, whose grow-only cache serves
+    them all."""
     period = _positive("period", period)
 
     def gen(horizon: float) -> np.ndarray:
         n = int(math.floor(horizon / period + 1e-9))
         return period * np.arange(1, n + 1)
 
-    def sample(seed: int, horizon: float) -> ImpulseSequence:
-        return ImpulseSequence.from_generator(gen, description=f"periodic({period:g})")
-
+    shared = ImpulseSequence.from_generator(gen, description=f"periodic({period:g})")
     return ImpulseFamily(
-        sampler=sample,
+        sampler=lambda seed, horizon: shared,
         description=f"jumps every {period:g} time units",
     )
 
@@ -224,9 +225,13 @@ def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
     )
 
 
+# the most jump times a finite-random family may draw per sample
+MAX_RANDOM_JUMPS = 10_000
+
+
 def finite_random_family(count: int, spread: float) -> ImpulseFamily:
-    """A fixed number of jump times scattered over (0, spread]."""
-    count, spread = _count("count", count), _positive("spread", spread)
+    """A fixed number (0..MAX_RANDOM_JUMPS) of jump times scattered over (0, spread]."""
+    count, spread = _count("count", count, 0, MAX_RANDOM_JUMPS), _positive("spread", spread)
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         rng = np.random.default_rng([1139, seed])

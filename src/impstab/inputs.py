@@ -38,6 +38,9 @@ class InputSignal:
             raise ValueError("breakpoints and values must be finite")
         if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
+        self._freeze(bp, vals)
+
+    def _freeze(self, bp: np.ndarray, vals: np.ndarray) -> None:
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -47,6 +50,15 @@ class InputSignal:
         padded = np.vstack((vals, np.zeros((1, vals.shape[1]))))
         padded.setflags(write=False)
         object.__setattr__(self, "_padded", padded)
+
+    @classmethod
+    def _trusted(cls, bp: np.ndarray, vals: np.ndarray) -> "InputSignal":
+        """A signal the package built itself, unchecked: bp a 1-d float
+        array, finite and strictly increasing, and vals a (len(bp), m)
+        float array of finite rows.  Both are frozen in place."""
+        sig = object.__new__(cls)
+        sig._freeze(bp, vals)
+        return sig
 
     @property
     def dim(self) -> int:
@@ -75,18 +87,19 @@ class InputSignal:
 
     def canonical(self) -> "InputSignal":
         """Merge adjacent pieces with equal values; drop a leading zero piece."""
-        keep = [0]
-        for j in range(1, len(self.breakpoints)):
-            if not np.array_equal(self.values[j], self.values[keep[-1]]):
-                keep.append(j)
-        bp = self.breakpoints[keep]
-        vals = self.values[keep]
+        vals = self.values
+        keep = np.concatenate(([True], np.any(vals[1:] != vals[:-1], axis=1)))
+        bp, vals = self.breakpoints[keep], vals[keep]
         if len(bp) > 1 and np.all(vals[0] == 0.0):
             bp, vals = bp[1:], vals[1:]
-        return InputSignal(bp, vals)
+        return InputSignal._trusted(bp, vals)
 
     def scaled(self, factor: float) -> "InputSignal":
-        return InputSignal(self.breakpoints.copy(), factor * self.values)
+        """The signal times factor; ValueError when a value overflows."""
+        vals = factor * self.values
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("breakpoints and values must be finite")
+        return InputSignal._trusted(self.breakpoints, vals)
 
     def to_json(self) -> dict:
         return {
@@ -102,8 +115,15 @@ class InputSignal:
         )
 
 
+_ZEROS: dict[int, InputSignal] = {}
+
+
 def zero_signal(dim: int = 1) -> InputSignal:
-    return InputSignal(np.array([0.0]), np.zeros((1, dim)))
+    """The zero signal of dimension dim: one shared, read-only signal per
+    dimension, built on first use."""
+    if dim not in _ZEROS:
+        _ZEROS[dim] = InputSignal._trusted(np.array([0.0]), np.zeros((1, dim)))
+    return _ZEROS[dim]
 
 
 def constant_signal(value, start: float = 0.0) -> InputSignal:
@@ -123,8 +143,8 @@ def _pulses(
     """``count`` rectangular pulses of the given width, one per period,
     pulse k of amplitude ``amplitude * ratio**k``.  A pulse that lasts
     until the next one starts (width == period) runs into it."""
-    if width <= 0 or period <= 0 or width > period or count < 1:
-        raise ConfigError("need 0 < 'width' <= 'period' and 'count' >= 1")
+    if width <= 0 or period <= 0 or width > period or not 1 <= count <= MAX_PULSES:
+        raise ConfigError(f"need 0 < 'width' <= 'period' and 1 <= 'count' <= {MAX_PULSES}")
     bps = [start - 1.0]
     vals = [np.zeros(dim)]
     for k in range(count):
@@ -181,6 +201,8 @@ def _numbers(key: str, v) -> np.ndarray:
 
 
 _PRESETS = ("zero", "constant", "pulse-train", "decaying-burst")
+# the most pulses the pulse builder makes: it builds each in a Python loop
+MAX_PULSES = 10_000
 
 
 def signal_from_config(cfg, dim: int = 1) -> InputSignal:
@@ -194,7 +216,7 @@ def signal_from_config(cfg, dim: int = 1) -> InputSignal:
     as a string, read by float().  ConfigError naming the key for a
     missing key, an unknown preset, a bool, a non-number or a non-finite
     number, a period or width that is not positive, a count that is not
-    an integer of at least 1 and a dim that is not an integer in
+    an integer in 1..MAX_PULSES and a dim that is not an integer in
     1..MAX_DIM; ConfigError too for a raw signal `InputSignal` rejects.
     """
     if cfg is None or cfg == "zero":
@@ -228,7 +250,7 @@ def signal_from_config(cfg, dim: int = 1) -> InputSignal:
     shape = (
         arg("period", 1.0, _positive),
         arg("width", 0.5, _positive),
-        arg("count", 4, _count, 1),
+        arg("count", 4, _count, 1, MAX_PULSES),
         arg("start", 0.0),
         dim,
     )
@@ -364,20 +386,23 @@ class EnergyProfile:
                 f"energy queried past the profile horizon {self.horizon:.6g}"
             )
 
+    def _priced(self, t, jumps):
+        """The flow energy up to t plus that of the first ``jumps`` jumps
+        after t0, for t within the horizon (unchecked)."""
+        return self.flow_part(t) + self._jump_cum[jumps]
+
     def at(self, t):
         """Energy over (t0, t] for scalar or array t within the horizon;
         OutOfRange past it."""
         self._within(t)
-        idx = np.searchsorted(self._taus, t, "right")
-        return self.flow_part(t) + self._jump_cum[idx]
+        return self._priced(t, np.searchsorted(self._taus, t, "right"))
 
     def before_jump(self, tau: float | np.ndarray) -> float | np.ndarray:
         """Energy over (t0, tau), the jump term at tau itself excluded, for
         scalar or array tau within the horizon (OutOfRange past it); same
         shape out, like `at`."""
         self._within(tau)
-        idx = np.searchsorted(self._taus, tau, "left")
-        return self.flow_part(tau) + self._jump_cum[idx]
+        return self._priced(tau, np.searchsorted(self._taus, tau, "left"))
 
 
 def energy_norm(

@@ -12,10 +12,10 @@ horizon is.
 Each segment is stepped by one call of a classical RK4 kernel generated
 per state dimension with its components unrolled into locals; a step
 appends each component to its own sample column, and the sample times
-come from the segment table in one vectorized pass.  A flow map built
-by `compile_map` has its expressions written into the kernel's stages,
-so a step makes no call; any other flow map is called exactly four
-times per step.  Both do the same operations in the same order, so their
+and their jump counts come from the segment table in one vectorized
+pass.  A flow map built by `compile_map` has its expressions written
+into the kernel's stages, so a step makes no call; any other flow map
+is called exactly four times per step.  Both do the same operations in the same order, so their
 results are bit-identical.  The jump map is called once per applied
 jump.  Maps are called as h(t, x, u) with x a fresh list and u a
 tuple.  A map that raises an arithmetic error, or a state that turns
@@ -51,6 +51,7 @@ class Trajectory:
     states: np.ndarray  # (k, n), right-continuous values
     jumps: np.ndarray  # (j,) applied jump times; each has a post-jump sample
     x_pre: np.ndarray  # (j, n) the state just before each jump
+    counts: np.ndarray  # (k,) the jumps in (t0, t] at each sample, from the grid
     status: str
     step: float
     horizon: float  # the end time the run was asked for
@@ -105,14 +106,18 @@ def _step_grid(
     t0: float, horizon: float, step: float, sigma: ImpulseSequence, breakpoints: np.ndarray
 ):
     """The grid of a run: its segment table (a, b, nsub, h), its sample
-    times, and the set of its jump times, those in (t0, horizon].  Raises
-    InvalidInterval when t0 is not finite, horizon < t0 or step is not
-    positive.
+    times, each sample's jump count over (t0, t], and whether each
+    segment ends in a jump in (t0, horizon].  Raises InvalidInterval when
+    t0 is not finite, horizon < t0, step is not positive, or the sample
+    times would not be strictly increasing (a step below the time
+    resolution at the grid's magnitude).
 
     The windows between t0, each event in (t0, horizon) once, and horizon
     (none when horizon == t0) are each cut into the fewest nsub equal
     steps h no longer than `step`.  The times are t0, then a + j*h for
     step j = 1..nsub-1 of each window and exactly b for its last step.
+    Every jump is a window end, so a sample inside a window has the count
+    at its start a and the sample at b the count at b.
     """
     if not math.isfinite(t0):
         raise InvalidInterval(f"start {t0} is not finite")
@@ -121,6 +126,7 @@ def _step_grid(
     if not step > 0:
         raise InvalidInterval("step must be positive")
     jump_times = sigma.materialize(horizon)
+    jump_times = jump_times[jump_times > t0]
     events = np.concatenate((jump_times, breakpoints))
     events = np.unique(events[(events > t0) & (events < horizon)])
     bounds = np.concatenate(([t0], events, [horizon]))
@@ -134,7 +140,17 @@ def _step_grid(
     j = np.arange(1, times.size) - np.repeat(ends - nsub, nsub)
     times[1:] = np.repeat(a, nsub) + j * np.repeat(h, nsub)
     times[ends] = b
-    return a, b, nsub, h, times, set(jump_times[jump_times > t0].tolist())
+    if not np.all(times[1:] > times[:-1]):
+        raise InvalidInterval(
+            f"step {step!r} from {t0!r} to {horizon!r} gives sample times that "
+            "are not strictly increasing"
+        )
+    at_b = np.searchsorted(jump_times, b, "right")
+    at_a = np.concatenate(([0], at_b))[:-1]
+    counts = np.zeros(times.size, dtype=np.int64)
+    counts[1:] = np.repeat(at_a, nsub)
+    counts[ends] = at_b
+    return a, b, nsub, h, times, counts, (at_b > at_a).tolist()
 
 
 _KERNEL_FILE = "<impstab.sim kernel>"
@@ -281,7 +297,9 @@ def simulate(
     infinite x0 raises NonFiniteState at t0 before any step, strict or
     not: there is no finite sample to stop at.
     """
-    a, b, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
+    a, b, nsub, h, times, counts, jump_ends = _step_grid(
+        t0, horizon, step, w.sigma, w.u.breakpoints
+    )
     x = [float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))]
     if len(x) != system.dim_x:
         raise InvalidSystem(
@@ -306,8 +324,8 @@ def simulate(
     failed_next = False
     cause, what = None, "state became non-finite"
     try:
-        for ak, bk, nk, hk, uk, ub in zip(
-            a.tolist(), b.tolist(), nsub.tolist(), h.tolist(), u_start, u_end
+        for ak, bk, nk, hk, uk, ub, jumps in zip(
+            a.tolist(), b.tolist(), nsub.tolist(), h.tolist(), u_start, u_end, jump_ends
         ):
             x, stopped = segment(f, ak, nk, hk, x, uk, cols)
             if stopped:
@@ -318,7 +336,7 @@ def simulate(
                 else:
                     status, failed_next = STATUS_STEP_FAILURE, True
                 break
-            if bk in jump_set:
+            if jumps:
                 x_post, outside = jump(g, bk, x, tuple(ub))
                 if outside and not all(math.isfinite(v) for v in x_post):
                     # drop the bad post-jump value, keep the pre state
@@ -360,6 +378,7 @@ def simulate(
         states=np.ascontiguousarray(np.array(cols, dtype=float).T),
         jumps=np.array(jumped, dtype=float),
         x_pre=np.array(pre, dtype=float).reshape(-1, system.dim_x),
+        counts=counts[:kept],
         status=status,
         step=float(step),
         horizon=float(horizon),
@@ -424,7 +443,9 @@ def closed_form_linear_impulsive(
     two trajectories compare sample-by-sample.  A NaN or infinite x0
     raises NonFiniteState, as in `simulate`.
     """
-    lo, hi, nsub, h, times, jump_set = _step_grid(t0, horizon, step, w.sigma, w.u.breakpoints)
+    lo, hi, nsub, h, times, counts, jump_ends = _step_grid(
+        t0, horizon, step, w.sigma, w.u.breakpoints
+    )
     if w.u.dim != 1:
         raise InvalidSystem("closed form is for scalar input")
     x_arr = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -436,8 +457,9 @@ def closed_form_linear_impulsive(
         raise NonFiniteState(f"initial state is not finite at t={t0:.6g}")
     vals = [x]
     jumped, pre = [], []
-    for lo_k, hi_k, n_k, h_k, u0 in zip(
-        lo.tolist(), hi.tolist(), nsub.tolist(), h.tolist(), w.u.value_at(lo)[:, 0].tolist()
+    u_start = w.u.value_at(lo)[:, 0].tolist()
+    for lo_k, hi_k, n_k, h_k, u0, jumps in zip(
+        lo.tolist(), hi.tolist(), nsub.tolist(), h.tolist(), u_start, jump_ends
     ):
         offs = np.arange(1, n_k + 1) * h_k
         offs[-1] = hi_k - lo_k
@@ -448,7 +470,7 @@ def closed_form_linear_impulsive(
             seg_vals = x + u0 * offs
         vals.extend(seg_vals.tolist())
         x = vals[-1]
-        if hi_k in jump_set:
+        if jumps:
             jumped.append(hi_k)
             pre.append(x)
             x = vals[-1] = jump_factor * x
@@ -458,6 +480,7 @@ def closed_form_linear_impulsive(
         states=np.asarray(vals)[:, None],
         jumps=np.array(jumped, dtype=float),
         x_pre=np.array(pre, dtype=float)[:, None],
+        counts=counts,
         status=STATUS_COMPLETE,
         step=float(step),
         horizon=float(horizon),

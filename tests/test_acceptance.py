@@ -227,8 +227,8 @@ def test_strong_check_dominates_weak(capsys):
         x0 = float(rng.uniform(-4.0, 4.0))
         w = HybridInput(zero_signal(), periodic_family(0.5).sampler(i, t0 + 8.0))
         traj = simulate(sys1, t0, [x0], w, t0 + 8.0, 1e-2)
-        ts, norms, s_strong, side = _check_points(traj, "strong")
-        _, _, s_weak, _ = _check_points(traj, "weak")
+        ts, norms, s_strong, side = _check_points(traj, "strong")[:4]
+        _, _, s_weak, _ = _check_points(traj, "weak")[:4]
         r0 = float(np.linalg.norm(traj.x0))
         rhs_strong = eval_kl_array(strong_cert.beta, r0, s_strong)
         rhs_weak = eval_kl_array(weak_cert.beta, r0, s_weak)

@@ -121,6 +121,28 @@ class TestCertificateTypes:
         with pytest.raises(ClassViolation):
             UbebsCertificate(identity(), identity(), identity(), -0.5)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_offset_rejected(self, c):
+        """A NaN offset made every margin NaN and an infinite one every
+        bound vacuous; a search on either passed with worst margin -inf."""
+        with pytest.raises(ClassViolation, match="finite"):
+            UbebsCertificate(identity(), identity(), identity(), c)
+        cfg = {
+            "kind": "ubebs",
+            "alpha": {"kind": "linear", "k": 100},
+            "rho1": {"kind": "identity"},
+            "rho2": {"kind": "identity"},
+            "c": c,
+        }
+        with pytest.raises(ClassViolation):
+            certificate_from_config(json.loads(json.dumps(cfg)))
+        cfg["c"] = 0.0
+        rep = falsify(
+            certificate_from_config(cfg), get_example("lin-contract"), periodic_family(0.5),
+            budget=12, seed=3,
+        )
+        assert (rep.verdict, rep.trials) == ("violated", 1)
+
     def test_config_round_trip(self):
         cfg = {
             "kind": "iiss",
@@ -213,7 +235,7 @@ class TestCheckPoints:
         sys1 = make_linear_system(-1.0, 0.5)
         w = hybrid(zero_signal(), 1.0)
         traj = simulate(sys1, 0.0, [2.0], w, 2.0, 0.25)
-        ts, norms, sargs, side = _check_points(traj, "strong")
+        ts, norms, sargs, side = _check_points(traj, "strong")[:4]
         at_tau = np.flatnonzero(ts == 1.0)
         assert len(at_tau) == 2
         i, j = at_tau
@@ -227,7 +249,7 @@ class TestCheckPoints:
         sys1 = make_linear_system(-1.0, 0.5)
         w = hybrid(zero_signal(), 1.0)
         traj = simulate(sys1, 0.5, [2.0], w, 2.5, 0.25)
-        ts, _, sargs, _ = _check_points(traj, "weak")
+        ts, _, sargs, _ = _check_points(traj, "weak")[:4]
         assert np.allclose(sargs, ts - 0.5)
 
 
@@ -325,6 +347,23 @@ class TestIissAndUbebs:
         rep = check_guas(cert, traj)
         assert rep.verdict == "inconclusive"
         assert "note" in rep.details
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_margin_is_never_a_pass(self, bad):
+        """A NaN bound, or an infinite one (margin -inf), checks nothing at
+        that point: the complete run is inconclusive, not a pass, and its
+        worst margin shows the NaN."""
+        traj = simulate(get_example("lin-contract"), 0.0, [1.0], hybrid(zero_signal()), 1.0, 0.25)
+        times = traj.times
+        lhs, rhs = np.ones(times.size), np.full(times.size, 2.0)
+        side = np.ones(times.size, dtype=int)
+        assert certificates._scan("x", traj, times, lhs, rhs, side).verdict == "pass"
+        rhs[2] = bad
+        rep = certificates._scan("x", traj, times, lhs, rhs, side)
+        assert rep.verdict == "inconclusive" and "not finite" in rep.details["note"]
+        assert math.isnan(rep.worst_margin) == math.isnan(bad)
+        rhs[3] = 0.5  # a real violation still wins
+        assert certificates._scan("x", traj, times, lhs, rhs, side).verdict == "violated"
 
     def test_dispatcher_matches_direct_calls(self):
         sys1 = get_example("lin-contract")

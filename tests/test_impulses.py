@@ -7,6 +7,7 @@ import pytest
 
 from impstab.errors import ConfigError, InvalidInterval
 from impstab.impulses import (
+    MAX_RANDOM_JUMPS,
     ImpulseSequence,
     count_jumps,
     count_jumps_at,
@@ -173,6 +174,25 @@ class TestFamilies:
     def test_periodic_family_rejects_before_any_step(self, period):
         with pytest.raises(ConfigError, match="'period'"):
             periodic_family(period)
+
+    def test_finite_random_count_is_bounded(self):
+        """Each sample draws count times at once, so a huge count would
+        allocate until memory runs out; at most MAX_RANDOM_JUMPS."""
+        with pytest.raises(ConfigError, match="'count'"):
+            finite_random_family(100_000, 1.0)
+        with pytest.raises(ConfigError, match="'count'"):
+            family_from_config(
+                {"name": "finite-random", "count": MAX_RANDOM_JUMPS + 1, "spread": 1.0}
+            )
+        fam = finite_random_family(MAX_RANDOM_JUMPS, 1.0)
+        assert fam.sampler(0, 2.0).materialize(2.0).size <= MAX_RANDOM_JUMPS
+
+    def test_periodic_samples_share_one_sequence(self):
+        """The periodic draw ignores its seed: every sample is one
+        sequence, so its grow-only cache serves them all."""
+        fam = periodic_family(0.5)
+        assert fam.sampler(0, 3.0) is fam.sampler(7, 10.0)
+        np.testing.assert_array_equal(fam.sampler(1, 3.0).materialize(1.0), [0.5, 1.0])
 
     def test_integral_float_count_accepted(self):
         fam = family_from_config({"name": "finite-random", "count": 3.0, "spread": 5.0})

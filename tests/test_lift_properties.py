@@ -161,8 +161,8 @@ def test_strong_dominates_weak_pointwise(sigma, t0, x0, step):
     strong time than in elapsed time."""
     w = HybridInput(zero_signal(), sigma)
     traj = simulate(get_example("pure-jump"), t0, [x0], w, t0 + 4.0, step)
-    ts, norms, strong, side = _check_points(traj, "strong")
-    ts_w, norms_w, weak, side_w = _check_points(traj, "weak")
+    ts, norms, strong, side = _check_points(traj, "strong")[:4]
+    ts_w, norms_w, weak, side_w = _check_points(traj, "weak")[:4]
     assert np.array_equal(ts, ts_w) and np.array_equal(norms, norms_w)
     assert np.array_equal(side, side_w)
     assert np.all(strong >= weak)

@@ -758,6 +758,24 @@ class TestMutatingMaps:
         assert traj.x_pre.tobytes() == clean.x_pre.tobytes()
 
 
+def test_step_below_the_time_resolution_is_refused():
+    """At t0 = 1e16 doubles are 2 apart, so steps of 0.01 would record
+    995 of 1,000 sample times as non-increasing, and a decay check of
+    that run passed with worst margin 0.0.  The grid is refused before
+    any step, by the simulator and the closed form alike."""
+    system = make_linear_system(-1.0, 0.5)
+    t0 = 1e16
+    w = hybrid(zero_signal(), t0 + 4.0, t0 + 8.0)
+    for strict in (True, False):
+        with pytest.raises(InvalidInterval, match="not strictly increasing"):
+            simulate(system, t0, [1.0], w, t0 + 10.0, 0.01, strict=strict)
+    with pytest.raises(InvalidInterval, match="not strictly increasing"):
+        closed_form_linear_impulsive(-1.0, 0.5, t0, [1.0], w, t0 + 10.0, 0.01)
+    # a step the doubles there resolve is accepted, one sample per step
+    traj = simulate(system, t0, [1.0], w, t0 + 10.0, 2.0)
+    assert np.all(np.diff(traj.times) > 0) and traj.counts.tolist() == [0, 0, 1, 1, 2, 2]
+
+
 def scalar_grid(t0, horizon, step, jump_times, breakpoints):
     """Sample times by the scalar rule, one segment at a time."""
     bounds = segment_bounds(t0, horizon, jump_times, breakpoints)
