@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .comparison import (
     ubebs_alpha_from_iiss,
 )
 from .errors import ClassViolation, ConfigError, NonZeroInput, OutOfRange
-from .impulses import ImpulseFamily, ImpulseSequence
+from .impulses import ImpulseFamily, ImpulseSequence, _config_number, _from_table
 from .inputs import EnergyProfile, HybridInput, InputSignal, _row_norms, zero_signal
 from .sim import DIVERGENCE_RADIUS, STATUS_COMPLETE, Trajectory, simulate
 from .systems import ImpulsiveSystem
@@ -77,7 +78,8 @@ class UbebsCertificate:
         require_kinf(self.alpha, "alpha")
         require_kinf(self.rho1, "rho1")
         require_kinf(self.rho2, "rho2")
-        if not 0 <= self.c < math.inf:
+        real = isinstance(self.c, numbers.Real) and not isinstance(self.c, bool)
+        if not (real and 0 <= self.c < math.inf):
             raise ClassViolation(f"offset c must be a finite number >= 0, got {self.c!r}")
 
 
@@ -352,28 +354,27 @@ def derive_strong_from_weak(cert: GuasCertificate, phi) -> GuasCertificate:
     return GuasCertificate(beta=lift_weak_beta(cert.beta, phi), mode="strong")
 
 
+_CERTS = {
+    "guas": (GuasCertificate, ("beta",), ("mode",)),
+    "ubebs": (UbebsCertificate, ("alpha", "rho1", "rho2"), ("c",)),
+    "iiss": (IissCertificate, ("alpha", "beta", "rho1", "rho2"), ("mode",)),
+}
+
+
+def _cert_field(key: str, v):
+    """beta by `kl_from_config`, a gauge by `comparison_from_config`, c as a number."""
+    if key == "beta":
+        return kl_from_config(v)
+    if key in ("alpha", "rho1", "rho2"):
+        return comparison_from_config(v)
+    return _config_number(key, v) if key == "c" else v
+
+
 def certificate_from_config(cfg: dict) -> Certificate:
-    kind = cfg.get("kind")
-    if kind == "guas":
-        return GuasCertificate(
-            beta=kl_from_config(cfg["beta"]), mode=cfg.get("mode", "strong")
-        )
-    if kind == "ubebs":
-        return UbebsCertificate(
-            alpha=comparison_from_config(cfg["alpha"]),
-            rho1=comparison_from_config(cfg["rho1"]),
-            rho2=comparison_from_config(cfg["rho2"]),
-            c=float(cfg.get("c", 0.0)),
-        )
-    if kind == "iiss":
-        return IissCertificate(
-            alpha=comparison_from_config(cfg["alpha"]),
-            beta=kl_from_config(cfg["beta"]),
-            rho1=comparison_from_config(cfg["rho1"]),
-            rho2=comparison_from_config(cfg["rho2"]),
-            mode=cfg.get("mode", "strong"),
-        )
-    raise ConfigError(f"unknown certificate kind {kind!r}")
+    """A certificate from ``{"kind": <a key of _CERTS>, <its fields>}``.
+    ConfigError for a bad config, kind or function config, or a missing
+    function; ClassViolation for a function, mode or c it rejects."""
+    return _from_table(_CERTS, cfg, "kind", "certificate", _cert_field)
 
 
 # ---------------------------------------------------------------------------

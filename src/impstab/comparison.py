@@ -23,14 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ClassViolation,
-    ConfigError,
-    ImpstabError,
-    InvalidPhi,
-    NotMonotone,
-    OutOfRange,
-)
+from .errors import ClassViolation, ImpstabError, InvalidPhi, NotMonotone, OutOfRange
+from .impulses import _from_table, _positive
 
 GRID_POINTS = 64
 INVERT_TOL = 1e-10
@@ -553,8 +547,7 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
 
 
 def linear(k: float = 1.0, domain_hint: float = 1e6) -> ComparisonFn:
-    if k <= 0:
-        raise ConfigError("linear gain must be positive")
+    k, domain_hint = _positive("k", k), _positive("domain_hint", domain_hint)
     return ComparisonFn(
         lambda r: k * r,
         declared_class="Kinf",
@@ -575,8 +568,8 @@ def identity() -> ComparisonFn:
 
 
 def power(p: float, scale: float = 1.0, domain_hint: float = 1e6) -> ComparisonFn:
-    if p <= 0 or scale <= 0:
-        raise ConfigError("power family needs positive exponent and scale")
+    p, scale = _positive("p", p), _positive("scale", scale)
+    domain_hint = _positive("domain_hint", domain_hint)
     return ComparisonFn(
         lambda r: scale * r**p,
         declared_class="Kinf",
@@ -588,8 +581,7 @@ def power(p: float, scale: float = 1.0, domain_hint: float = 1e6) -> ComparisonF
 
 def saturating(scale: float = 1.0) -> ComparisonFn:
     """scale * r / (1 + r): class K but bounded, so never K-infinity."""
-    if scale <= 0:
-        raise ConfigError("saturating scale must be positive")
+    scale = _positive("scale", scale)
     return ComparisonFn(
         lambda r: scale * r / (1.0 + r),
         declared_class="K",
@@ -600,6 +592,7 @@ def saturating(scale: float = 1.0) -> ComparisonFn:
 
 def log_growth(scale: float = 1.0) -> ComparisonFn:
     """scale * log(1 + r): slowly growing but genuinely unbounded."""
+    scale = _positive("scale", scale)
     return ComparisonFn(
         lambda r: scale * np.log1p(r),
         declared_class="Kinf",
@@ -610,8 +603,7 @@ def log_growth(scale: float = 1.0) -> ComparisonFn:
 
 
 def exp_decay_kl(amp: float = 1.0, rate: float = 1.0) -> KLFn:
-    if amp <= 0 or rate <= 0:
-        raise ConfigError("exp-decay needs positive amplitude and rate")
+    amp, rate = _positive("amp", amp), _positive("rate", rate)
     return KLFn(
         lambda r, s: amp * r * np.exp(-rate * s),
         name=f"exp-decay(amp={amp:g}, rate={rate:g})",
@@ -620,8 +612,7 @@ def exp_decay_kl(amp: float = 1.0, rate: float = 1.0) -> KLFn:
 
 
 def rational_decay_kl(amp: float = 1.0, p: float = 1.0) -> KLFn:
-    if amp <= 0 or p <= 0:
-        raise ConfigError("rational-decay needs positive amplitude and power")
+    amp, p = _positive("amp", amp), _positive("p", p)
     return KLFn(
         lambda r, s: amp * r / (1.0 + s) ** p,
         name=f"rational-decay(amp={amp:g}, p={p:g})",
@@ -629,33 +620,27 @@ def rational_decay_kl(amp: float = 1.0, p: float = 1.0) -> KLFn:
     )
 
 
+_GAUGES = {
+    "identity": (identity, (), ()),
+    "linear": (linear, (), ("k", "domain_hint")),
+    "power": (power, ("p",), ("scale", "domain_hint")),
+    "saturating": (saturating, (), ("scale",)),
+    "log-growth": (log_growth, (), ("scale",)),
+}
+
+_KLS = {
+    "exp-decay": (exp_decay_kl, (), ("amp", "rate")),
+    "rational-decay": (rational_decay_kl, (), ("amp", "p")),
+}
+
+
 def comparison_from_config(cfg: dict) -> ComparisonFn:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"expected a mapping with a 'kind' key, got {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "identity":
-        return identity()
-    if kind == "linear":
-        return linear(float(cfg.get("k", 1.0)), float(cfg.get("domain_hint", 1e6)))
-    if kind == "power":
-        return power(
-            float(cfg["p"]),
-            float(cfg.get("scale", 1.0)),
-            float(cfg.get("domain_hint", 1e6)),
-        )
-    if kind == "saturating":
-        return saturating(float(cfg.get("scale", 1.0)))
-    if kind == "log-growth":
-        return log_growth(float(cfg.get("scale", 1.0)))
-    raise ConfigError(f"unknown comparison function kind {kind!r}")
+    """A gauge from ``{"kind": ..., <the factory's arguments>}``, a number
+    perhaps a string read by float(); ConfigError naming the key for a bad
+    config, kind or argument, or a power without ``p``."""
+    return _from_table(_GAUGES, cfg, "kind", "comparison function")
 
 
 def kl_from_config(cfg: dict) -> KLFn:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"expected a mapping with a 'kind' key, got {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "exp-decay":
-        return exp_decay_kl(float(cfg.get("amp", 1.0)), float(cfg.get("rate", 1.0)))
-    if kind == "rational-decay":
-        return rational_decay_kl(float(cfg.get("amp", 1.0)), float(cfg.get("p", 1.0)))
-    raise ConfigError(f"unknown KL function kind {kind!r}")
+    """A KL function, read as `comparison_from_config` reads a gauge."""
+    return _from_table(_KLS, cfg, "kind", "KL function")

@@ -278,12 +278,37 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
 
 
 _FAMILIES = {
-    "empty": (empty_family, ()),
-    "periodic": (periodic_family, ("period",)),
-    "dwell": (dwell_family, ("min_gap", "max_gap")),
-    "finite-random": (finite_random_family, ("count", "spread")),
-    "shrinking-gap": (shrinking_gap_family, ("first_gap", "min_gap")),
+    "empty": (empty_family, (), ()),
+    "periodic": (periodic_family, ("period",), ()),
+    "dwell": (dwell_family, ("min_gap", "max_gap"), ()),
+    "finite-random": (finite_random_family, ("count", "spread"), ()),
+    "shrinking-gap": (shrinking_gap_family, ("first_gap", "min_gap"), ()),
 }
+
+
+def _from_table(table: dict, cfg, key: str, what: str, read=_config_number):
+    """``make(**args)`` for ``(make, required, optional) = table[cfg[key]]``,
+    args holding each required key and each optional key cfg has, read by
+    ``read(k, value)``; make's defaults fill the rest.  ConfigError for a
+    config that is not a mapping, an unknown name or a missing key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} config must be a mapping, got {cfg!r}")
+    name = cfg.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{what} {key!r} must be one of {sorted(table)}, got {name!r}")
+    make, required, optional = table[name]
+    for k in required:
+        if k not in cfg:
+            raise ConfigError(f"{what} {name!r} config is missing {k!r}")
+    return make(**{k: read(k, cfg[k]) for k in required + optional if k in cfg})
+
+
+def _arg(cfg: dict, key: str, default, check=_finite, *bounds):
+    """``check(key, v, *bounds)`` of cfg[key] read by `_config_number`, or
+    default when cfg lacks key."""
+    if key not in cfg:
+        return default
+    return check(key, _config_number(key, cfg[key]), *bounds)
 
 
 def family_from_config(cfg: dict) -> ImpulseFamily:
@@ -292,15 +317,4 @@ def family_from_config(cfg: dict) -> ImpulseFamily:
     A config that is not a mapping, an unknown name, a missing argument,
     a string that is not a number, or an argument the family rejects
     raises ConfigError naming it, before any step."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"impulse family config must be a mapping, got {cfg!r}")
-    name = cfg.get("name")
-    if not isinstance(name, str) or name not in _FAMILIES:
-        raise ConfigError(
-            f"impulse family 'name' must be one of {sorted(_FAMILIES)}, got {name!r}"
-        )
-    make, keys = _FAMILIES[name]
-    for key in keys:
-        if key not in cfg:
-            raise ConfigError(f"impulse family {name!r} config is missing {key!r}")
-    return make(*(_config_number(key, cfg[key]) for key in keys))
+    return _from_table(_FAMILIES, cfg, "name", "impulse family")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .comparison import ComparisonFn, eval_array
 from .errors import ConfigError, InvalidInterval, OutOfRange
-from .impulses import ImpulseSequence, _config_number, _count, _finite, _positive
+from .impulses import ImpulseSequence, _arg, _count, _positive
 from .systems import MAX_DIM
 
 
@@ -217,46 +217,42 @@ def signal_from_config(cfg, dim: int = 1) -> InputSignal:
     missing key, an unknown preset, a bool, a non-number or a non-finite
     number, a period or width that is not positive, a count that is not
     an integer in 1..MAX_PULSES and a dim that is not an integer in
-    1..MAX_DIM; ConfigError too for a raw signal `InputSignal` rejects.
+    1..MAX_DIM; ConfigError too for any signal `InputSignal` rejects.
     """
     if cfg is None or cfg == "zero":
         return zero_signal(dim)
     if not isinstance(cfg, dict):
         raise ConfigError(f"cannot interpret input config {cfg!r}")
-
-    def arg(key, default, check=_finite, *bounds):
-        if key not in cfg:
-            return default
-        return check(key, _config_number(key, cfg[key]), *bounds)
-
-    if "preset" not in cfg:
-        for key in ("breakpoints", "values"):
-            if key not in cfg:
-                raise ConfigError(f"input signal config is missing {key!r}")
-        bps, vals = _numbers("breakpoints", cfg["breakpoints"]), _numbers("values", cfg["values"])
-        try:
-            return InputSignal(bps, vals)
-        except ValueError as exc:
-            raise ConfigError(f"bad input signal 'breakpoints' and 'values': {exc}") from None
-    preset = cfg["preset"]
-    if preset not in _PRESETS:
-        raise ConfigError(f"input 'preset' must be one of {_PRESETS}, got {preset!r}")
-    if preset == "constant":
-        return constant_signal(_numbers("value", cfg.get("value", 1.0)), arg("start", 0.0))
-    dim = arg("dim", dim, _count, 1, MAX_DIM)
-    if preset == "zero":
-        return zero_signal(dim)
-    amplitude = arg("amplitude", 1.0)
-    shape = (
-        arg("period", 1.0, _positive),
-        arg("width", 0.5, _positive),
-        arg("count", 4, _count, 1, MAX_PULSES),
-        arg("start", 0.0),
-        dim,
-    )
-    if preset == "pulse-train":
-        return pulse_train(amplitude, *shape)
-    return decaying_burst(amplitude, arg("ratio", 0.5), *shape)
+    try:
+        if "preset" not in cfg:
+            for key in ("breakpoints", "values"):
+                if key not in cfg:
+                    raise ConfigError(f"input signal config is missing {key!r}")
+            return InputSignal(*(_numbers(key, cfg[key]) for key in ("breakpoints", "values")))
+        preset = cfg["preset"]
+        if preset not in _PRESETS:
+            raise ConfigError(f"input 'preset' must be one of {_PRESETS}, got {preset!r}")
+        if preset == "constant":
+            value = _numbers("value", cfg.get("value", 1.0))
+            return constant_signal(value, _arg(cfg, "start", 0.0))
+        dim = _arg(cfg, "dim", dim, _count, 1, MAX_DIM)
+        if preset == "zero":
+            return zero_signal(dim)
+        amplitude = _arg(cfg, "amplitude", 1.0)
+        shape = (
+            _arg(cfg, "period", 1.0, _positive),
+            _arg(cfg, "width", 0.5, _positive),
+            _arg(cfg, "count", 4, _count, 1, MAX_PULSES),
+            _arg(cfg, "start", 0.0),
+            dim,
+        )
+        if preset == "pulse-train":
+            return pulse_train(amplitude, *shape)
+        return decaying_burst(amplitude, _arg(cfg, "ratio", 0.5), *shape)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad input signal {cfg!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -34,8 +33,8 @@ from .certificates import (
 )
 from .comparison import eval_array, invert_array
 from .errors import ConfigError
-from .impulses import ImpulseSequence, family_from_config
-from .inputs import HybridInput, signal_from_config
+from .impulses import ImpulseSequence, _arg, _count, family_from_config
+from .inputs import HybridInput, _numbers, signal_from_config
 from .library import EXAMPLE_CONFIGS, get_example
 from .sim import Trajectory, simulate
 from .systems import ImpulsiveSystem, system_from_config
@@ -116,16 +115,15 @@ def _write_plot_csv(path: str, traj: Trajectory, bounds: np.ndarray) -> None:
 
 
 def _search_ranges(cfg) -> SearchRanges:
-    """SearchRanges from a check's "ranges" object; ConfigError naming an
-    unknown key or a value that is not a number."""
+    """SearchRanges from a check's "ranges" object, each value read by
+    `_arg`; ConfigError naming an unknown key or a value that is not a
+    finite number."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"ranges must be a mapping, got {cfg!r}")
     try:
-        ranges = SearchRanges(**cfg)
-    except TypeError as exc:  # not an object, or an unknown key
-        raise ConfigError(f"bad ranges {cfg!r}: {exc}") from exc
-    for key, val in asdict(ranges).items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"ranges {key!r} must be a number, got {val!r}")
-    return ranges
+        return SearchRanges(**{key: _arg(cfg, key, None) for key in cfg})
+    except (TypeError, ConfigError) as exc:  # an unknown key, or a bad value
+        raise ConfigError(f"bad ranges {cfg!r}: {exc}") from None
 
 
 def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
@@ -133,7 +131,7 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
     if "certificate" not in chk:
         raise ConfigError("every check needs a certificate")
     cert = certificate_from_config(chk["certificate"])
-    check_seed = int(chk.get("seed", seed))
+    check_seed = _arg(chk, "seed", seed, _count)
     known = tuple(f"{op}-{ck}" for op in ("falsify", "check") for ck in ("guas", "ubebs", "iiss"))
     if kind not in known:
         raise ConfigError(f"unknown check kind {kind!r}; expected one of {known}")
@@ -144,18 +142,15 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
 
     if op == "falsify":
         ranges = _search_ranges(chk.get("ranges") or {})
-        rep = falsify(
-            cert, system, family, int(chk.get("budget", 200)), ranges, check_seed
-        )
+        budget = _arg(chk, "budget", 200, _count, 1)
+        rep = falsify(cert, system, family, budget, ranges, check_seed)
         traj = rep.witness.trajectory(system) if rep.witness is not None else None
         return rep, traj, cert
 
-    t0 = float(chk.get("t0", 0.0))
-    x0 = np.asarray(chk.get("x0", [1.0] * system.dim_x), dtype=float)
-    horizon = float(chk.get("horizon", 10.0))
-    step = float(chk.get("step", 1e-2))
+    t0, horizon, step = _arg(chk, "t0", 0.0), _arg(chk, "horizon", 10.0), _arg(chk, "step", 1e-2)
+    x0 = _numbers("x0", chk.get("x0", [1.0] * system.dim_x))
     if "sigma_times" in chk:
-        sigma = ImpulseSequence.from_times(np.asarray(chk["sigma_times"], dtype=float))
+        sigma = ImpulseSequence.from_times(_numbers("sigma_times", chk["sigma_times"]))
     else:
         sigma = family.sampler(check_seed, t0 + horizon + 1.0)
     w = HybridInput(signal_from_config(chk.get("input"), system.dim_u), sigma)
@@ -172,7 +167,7 @@ def run_scenario(scenario, out_dir: str | None = None) -> dict:
     if isinstance(scenario, (str, os.PathLike)):
         scenario = load_scenario(scenario)
     name = str(scenario.get("name", "scenario"))
-    seed = int(scenario.get("seed", 0))
+    seed = _arg(scenario, "seed", 0, _count)
     system = _resolve_system(scenario.get("system"))
     family = family_from_config(scenario.get("family", {"name": "empty"}))
     out = resolve_out_dir(out_dir, scenario)
@@ -181,7 +176,12 @@ def run_scenario(scenario, out_dir: str | None = None) -> dict:
     entries = []
     any_violated = False
     any_inconclusive = False
-    for idx, chk in enumerate(scenario.get("checks", [])):
+    checks = scenario.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError(f"scenario 'checks' must be a list, got {checks!r}")
+    for idx, chk in enumerate(checks):
+        if not isinstance(chk, dict):
+            raise ConfigError(f"check {idx} must be a mapping, got {chk!r}")
         cid = str(chk.get("id", f"check{idx}"))
         rep, traj, cert = _run_one(chk, system, family, seed)
         if rep.verdict == "violated":

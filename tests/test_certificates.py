@@ -143,6 +143,20 @@ class TestCertificateTypes:
         )
         assert (rep.verdict, rep.trials) == ("violated", 1)
 
+    @pytest.mark.parametrize("c", [True, None, [1.0], "1"], ids=["bool", "null", "list", "str"])
+    def test_non_number_offset_rejected(self, c):
+        """True was read as an offset of 1.0, and null or a list escaped
+        as a bare TypeError; a config reads a string by float()."""
+        with pytest.raises(ClassViolation, match="finite number"):
+            UbebsCertificate(identity(), identity(), identity(), c)
+        gauge = {"kind": "identity"}
+        cfg = {"kind": "ubebs", "alpha": gauge, "rho1": gauge, "rho2": gauge, "c": c}
+        if c == "1":
+            assert certificate_from_config(cfg).c == 1.0
+        else:
+            with pytest.raises(ClassViolation):
+                certificate_from_config(cfg)
+
     def test_config_round_trip(self):
         cfg = {
             "kind": "iiss",

@@ -98,12 +98,15 @@ class TestSignal:
             ({"breakpoints": [0.0], "values": [[math.inf]]}, "values"),
             ({"breakpoints": [False], "values": [[1.0]]}, "breakpoints"),
             ({"preset": "ramp"}, "preset"),
+            ({"preset": "pulse-train", "period": 1e300}, "period"),
+            ({"preset": "constant", "value": [[1.0]]}, "value"),
         ],
     )
     def test_hostile_configs_name_their_key(self, cfg, named):
         """int() read a count of 2.9 as 2 and True as 1, a missing key
         escaped as a bare KeyError, and float() let NaN, infinities and
-        bools through."""
+        bools through; a preset whose pulse times collide or whose value
+        has the wrong shape escaped as InputSignal's bare ValueError."""
         with pytest.raises(ConfigError, match=repr(named)):
             signal_from_config(cfg)
 

@@ -239,6 +239,15 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=named):
             run_scenario(scenario, str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "checks, named", [(5, "'checks'"), ({"a": 1}, "'checks'"), (["x"], "check 0")]
+    )
+    def test_malformed_checks(self, tmp_path, checks, named):
+        """A number for the checks escaped as a bare TypeError, and a check
+        that is not an object as an AttributeError."""
+        with pytest.raises(ConfigError, match=named):
+            run_scenario({"system": "zero", "checks": checks}, str(tmp_path))
+
     def test_unknown_builtin_system(self, tmp_path):
         with pytest.raises(ConfigError):
             run_scenario({"system": "mystery", "checks": []}, str(tmp_path))
