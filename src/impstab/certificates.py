@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -126,7 +126,13 @@ class Witness:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """`dataclasses.asdict` without its recursive deep copy: the fields
+        by name, every list in them fresh."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["x0"], out["sigma_times"] = list(self.x0), list(self.sigma_times)
+        out["u"] = {k: [list(v) if isinstance(v, list) else v for v in vals]
+                    for k, vals in self.u.items()}
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Witness":
@@ -157,6 +163,12 @@ class CheckReport:
     samples: int = 0
     witness: Witness | None = None
     details: dict = field(default_factory=dict)
+    # the run the report names (a check's trajectory, falsify's violating
+    # trial), and the right side and side array of `_sides` at its check
+    # points as the check priced them; none of the three is in to_dict
+    trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
+    rhs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    side: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -206,12 +218,13 @@ def _scan(
 ) -> CheckReport:
     """The report of one check: its first violation, if any, with a
     witness that replays the whole run the trajectory was asked for
-    (its horizon, and the jumps and input that drove it)."""
+    (its horizon, and the jumps and input that drove it).  The report
+    keeps the trajectory and its priced right side."""
     margins = lhs - rhs
     tol = TOL_SCALE * (1.0 + np.abs(rhs))
     viol = margins > tol
     worst = float(margins.max()) if margins.size else 0.0  # NaN if any is
-    samples = int(len(times))
+    wit, details = None, {}
     if viol.any():
         idx = int(np.argmax(viol))  # arrays are time-ordered: first violation
         wit = Witness(
@@ -228,25 +241,20 @@ def _scan(
             sigma_times=[float(t) for t in traj.input_used.sigma.materialize(traj.horizon)],
             u=traj.input_used.u.to_json(),
         )
-        return CheckReport(
-            verdict="violated",
-            kind=kind,
-            worst_margin=worst,
-            samples=samples,
-            witness=wit,
-        )
-    details = {}
-    if traj.status != STATUS_COMPLETE:
+    elif traj.status != STATUS_COMPLETE:
         details["note"] = f"trajectory ended early with status {traj.status!r}"
     elif not np.isfinite(margins).all():
         details["note"] = "a margin is not finite, so the bound was not checked there"
-    verdict = "inconclusive" if details else "pass"
     return CheckReport(
-        verdict=verdict,
+        verdict="violated" if wit is not None else "inconclusive" if details else "pass",
         kind=kind,
         worst_margin=worst,
-        samples=samples,
+        samples=int(len(times)),
+        witness=wit,
         details=details,
+        trajectory=traj,
+        rhs=rhs,
+        side=side,
     )
 
 
@@ -521,7 +529,9 @@ def falsify(
 
     Stops at the first violated trial and returns its witness (first
     violating sample in time order), annotated with the trial index and
-    master seed; otherwise reports a pass with the trial count.  Trials
+    master seed, and keeps that trial's trajectory and priced right side
+    on the report (not in `to_dict`), so nothing needs a replay; otherwise
+    reports a pass with the trial count and no trajectory.  Trials
     cycle uniform random, low-discrepancy, and adversarial presets
     (corner initial states, pulses synchronized with jump times, start
     times hugging a jump, constant worst-amplitude input).  The
@@ -581,6 +591,9 @@ def falsify(
                 samples=rep.samples,
                 witness=wit,
                 details={"trial_style": ("random", "low-discrepancy", "adversarial")[style]},
+                trajectory=traj,
+                rhs=rep.rhs,
+                side=rep.side,
             )
         if rep.worst_margin > worst or math.isnan(rep.worst_margin):  # NaN stays
             worst = rep.worst_margin

@@ -52,6 +52,22 @@ def _probe_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return _cached_geomspace(float(lo), float(hi), n).copy()
 
 
+def _probing(validate):
+    """``validate`` raising ClassViolation naming the function for an
+    arithmetic error of a probe: an OverflowError of Python float
+    arithmetic, or a numpy overflow raised as FloatingPointError or, with
+    warnings as errors, RuntimeWarning."""
+
+    @functools.wraps(validate)
+    def checked(self) -> None:
+        try:
+            validate(self)
+        except (ArithmeticError, RuntimeWarning) as exc:
+            raise ClassViolation(f"{self._label()}: a validation probe failed: {exc!r}") from exc
+
+    return checked
+
+
 @dataclass(frozen=True)
 class ComparisonFn:
     """A scalar function declared to lie in class K or K-infinity.
@@ -71,12 +87,14 @@ class ComparisonFn:
     def __call__(self, r):
         return self.evaluator(r)
 
+    @_probing
     def validate(self) -> None:
         """Probe zero-at-zero, strict increase, and (for Kinf) growth.
 
         The logarithmic probe grids come from `_probe_grid`, computed once
         per (lo, hi, n) and handed to the evaluator as fresh copies.
-        Raises ClassViolation with the offending sample in the message.
+        Raises ClassViolation with the offending sample in the message,
+        or naming the function when a probe raises an arithmetic error.
         """
         if self.declared_class not in ("K", "Kinf"):
             raise ClassViolation(f"unknown declared class {self.declared_class!r}")
@@ -142,10 +160,13 @@ class KLFn:
     def __call__(self, r, s):
         return self.evaluator(r, s)
 
+    @_probing
     def validate(self) -> None:
         """Check the KL shape on a 20x20 logarithmic grid, and each of
         three r-slices as a K-infinity function; every grid comes from
-        `_probe_grid`, so a repeat validation computes none."""
+        `_probe_grid`, so a repeat validation computes none.  A probe
+        that raises an arithmetic error raises ClassViolation naming the
+        function."""
         r_grid = _probe_grid(1e-6, self.r_hint, 20)
         s_grid = np.concatenate(([0.0], _probe_grid(1e-6, self.s_hint, 19)))
         # fast decay underflows to exactly 0 at large s, where strict

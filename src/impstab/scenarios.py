@@ -24,9 +24,9 @@ import numpy as np
 
 from .certificates import (
     _CERT_KIND,
+    CheckReport,
     GuasCertificate,
     SearchRanges,
-    _sides,
     certificate_from_config,
     check_certificate,
     falsify,
@@ -36,7 +36,7 @@ from .errors import ConfigError
 from .impulses import ImpulseSequence, _arg, _count, family_from_config
 from .inputs import HybridInput, _numbers, signal_from_config
 from .library import EXAMPLE_CONFIGS, get_example
-from .sim import Trajectory, simulate
+from .sim import Trajectory, repr_column, simulate
 from .systems import ImpulsiveSystem, system_from_config
 
 DEFAULT_OUT_DIR = "impstab-out"
@@ -94,10 +94,10 @@ def _resolve_system(ref) -> ImpulsiveSystem:
     raise ConfigError("system must be a built-in name or a config object")
 
 
-def _bound_series(cert, traj: Trajectory) -> np.ndarray:
-    """Certificate right side converted to a bound on |x| at the samples."""
-    _, _, rhs, side = _sides(cert, traj)
-    y = rhs[side == 1]
+def _bound_series(cert, rep: CheckReport) -> np.ndarray:
+    """Certificate right side converted to a bound on |x| at the samples,
+    read from the right side the report's check priced."""
+    y = rep.rhs[rep.side == 1]
     if isinstance(cert, GuasCertificate):
         return y
     # saturate at the gauge's certified range so inversion stays defined
@@ -105,13 +105,12 @@ def _bound_series(cert, traj: Trajectory) -> np.ndarray:
     return invert_array(cert.alpha, np.minimum(y, cap))
 
 
-def _write_plot_csv(path: str, traj: Trajectory, bounds: np.ndarray) -> None:
+def _write_plot_csv(path: str, ts: list[str], traj: Trajectory, bounds: np.ndarray) -> None:
     """Write ``t,state_norm,bound`` rows, one per sample, as ``repr`` of
-    the Python floats with ``"\\n"`` row ends, atomically."""
-    lines = ["t,state_norm,bound"]
-    for row in zip(traj.times.tolist(), traj.norms().tolist(), bounds.tolist()):
-        lines.append(",".join(map(repr, row)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    the Python floats with ``"\\n"`` row ends, atomically; ``ts`` is the
+    time column already written (see `repr_column`)."""
+    rows = zip(ts, map(repr, traj.norms().tolist()), map(repr, bounds.tolist()))
+    _atomic_write(path, "\n".join(["t,state_norm,bound", *map(",".join, rows), ""]))
 
 
 def _search_ranges(cfg) -> SearchRanges:
@@ -143,19 +142,23 @@ def _run_one(chk: dict, system: ImpulsiveSystem, family, seed: int):
     if op == "falsify":
         ranges = _search_ranges(chk.get("ranges") or {})
         budget = _arg(chk, "budget", 200, _count, 1)
-        rep = falsify(cert, system, family, budget, ranges, check_seed)
-        traj = rep.witness.trajectory(system) if rep.witness is not None else None
-        return rep, traj, cert
+        return falsify(cert, system, family, budget, ranges, check_seed), cert
 
     t0, horizon, step = _arg(chk, "t0", 0.0), _arg(chk, "horizon", 10.0), _arg(chk, "step", 1e-2)
     x0 = _numbers("x0", chk.get("x0", [1.0] * system.dim_x))
+    if x0.ndim > 1:
+        raise ConfigError(f"'x0' must be a flat list of numbers, got {chk['x0']!r}")
     if "sigma_times" in chk:
-        sigma = ImpulseSequence.from_times(_numbers("sigma_times", chk["sigma_times"]))
+        times = _numbers("sigma_times", chk["sigma_times"])
+        try:
+            sigma = ImpulseSequence.from_times(times)
+        except ValueError as exc:  # not a flat list of increasing positive times
+            raise ConfigError(f"'sigma_times' {chk['sigma_times']!r}: {exc}") from None
     else:
         sigma = family.sampler(check_seed, t0 + horizon + 1.0)
     w = HybridInput(signal_from_config(chk.get("input"), system.dim_u), sigma)
     traj = simulate(system, t0, x0, w, t0 + horizon, step, strict=False)
-    return check_certificate(cert, traj), traj, cert
+    return check_certificate(cert, traj), cert
 
 
 def run_scenario(scenario, out_dir: str | None = None) -> dict:
@@ -179,24 +182,29 @@ def run_scenario(scenario, out_dir: str | None = None) -> dict:
     checks = scenario.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError(f"scenario 'checks' must be a list, got {checks!r}")
-    for idx, chk in enumerate(checks):
-        if not isinstance(chk, dict):
-            raise ConfigError(f"check {idx} must be a mapping, got {chk!r}")
-        cid = str(chk.get("id", f"check{idx}"))
-        rep, traj, cert = _run_one(chk, system, family, seed)
-        if rep.verdict == "violated":
-            any_violated = True
-        elif rep.verdict != "pass":
-            any_inconclusive = True
-        entry = {"id": cid, "kind": chk["kind"], "report": rep.to_dict()}
-        if traj is not None:
-            traj_name = f"{cid}-trajectory.csv"
-            plot_name = f"{cid}-plot.csv"
-            _atomic_write(os.path.join(out, traj_name), traj.csv_text())
-            _write_plot_csv(os.path.join(out, plot_name), traj, _bound_series(cert, traj))
-            entry["trajectory_csv"] = traj_name
-            entry["plot_csv"] = plot_name
-        entries.append(entry)
+    # a state or bound past the float range reads inf, which the checks
+    # report, not a numpy warning
+    with np.errstate(over="ignore"):
+        for idx, chk in enumerate(checks):
+            if not isinstance(chk, dict):
+                raise ConfigError(f"check {idx} must be a mapping, got {chk!r}")
+            cid = str(chk.get("id", f"check{idx}"))
+            rep, cert = _run_one(chk, system, family, seed)
+            if rep.verdict == "violated":
+                any_violated = True
+            elif rep.verdict != "pass":
+                any_inconclusive = True
+            entry = {"id": cid, "kind": chk["kind"], "report": rep.to_dict()}
+            traj = rep.trajectory  # the checked run, or falsify's violating trial
+            if traj is not None:
+                traj_name = f"{cid}-trajectory.csv"
+                plot_name = f"{cid}-plot.csv"
+                ts = repr_column(traj.times)
+                _atomic_write(os.path.join(out, traj_name), traj._csv_text(ts))
+                _write_plot_csv(os.path.join(out, plot_name), ts, traj, _bound_series(cert, rep))
+                entry["trajectory_csv"] = traj_name
+                entry["plot_csv"] = plot_name
+            entries.append(entry)
 
     exit_code = 2 if any_violated else (3 if any_inconclusive else 0)
     report = {

@@ -42,6 +42,14 @@ STATUS_STEP_FAILURE = "step-failure"
 
 DIVERGENCE_RADIUS = 1e12
 _DIVERGE_SQ = DIVERGENCE_RADIUS**2
+# the most RK4 steps one run may take; a grid is sized before it is built
+MAX_GRID_STEPS = 10**7
+
+
+def repr_column(values: np.ndarray) -> list[str]:
+    """``repr`` of each value as a Python float: how every CSV artifact
+    writes a number, so it reads back exactly."""
+    return list(map(repr, values.tolist()))
 
 
 @dataclass
@@ -81,17 +89,26 @@ class Trajectory:
         pre-jump row (flag 0) then a post-jump row (flag 1).  Numbers are
         written as ``repr`` of the Python float, so they read back exactly;
         rows end in ``"\\r\\n"``."""
+        return self._csv_text(repr_column(self.times))
+
+    def _csv_text(self, ts: list[str]) -> str:
+        """`csv_text` with the time column already written (``ts``), so a
+        caller that writes it elsewhere too formats each time once.  Rows
+        are joined from the columns, each state column formatted as the
+        rows are joined."""
         pre = dict(zip(self.jumps.tolist(), self.x_pre.tolist()))
-        t0 = self.t0
-        lines = [",".join(["t", *(f"x{i + 1}" for i in range(self.dim)), "is_post_jump"])]
-        for t, row in zip(self.times.tolist(), self.states.tolist()):
-            line = ",".join(map(repr, [t, *row]))
-            if t in pre and t > t0:
-                lines.append(",".join(map(repr, [t, *pre[t]])) + ",0")
-                lines.append(line + ",1")
-            else:
-                lines.append(line + ",0")
-        return "\r\n".join(lines) + "\r\n"
+        keys = np.array([t for t in pre if t > self.t0], dtype=float)
+        at = np.minimum(np.searchsorted(self.times, keys), len(ts) - 1)
+        hit = self.times[at] == keys
+        # a sample at a jump time after t0 is a post-jump row, and its time
+        # cell carries the pre-jump row that precedes it
+        tcol, flags = list(ts), ["0"] * len(ts)
+        for i, t in zip(at[hit].tolist(), keys[hit].tolist()):
+            tcol[i] = ",".join([ts[i], *map(repr, pre[t]), "0\r\n" + ts[i]])
+            flags[i] = "1"
+        header = ",".join(["t", *(f"x{i + 1}" for i in range(self.dim)), "is_post_jump"])
+        cols = (map(repr, col) for col in self.states.T.tolist())
+        return "\r\n".join([header, *map(",".join, zip(tcol, *cols, flags)), ""])
 
     def to_csv(self, path) -> None:
         """Write `csv_text` to path in one call: ``repr`` floats, a pre
@@ -102,15 +119,21 @@ class Trajectory:
             fh.write(self.csv_text())
 
 
+def _too_many_steps(t0: float, horizon: float, step: float) -> str:
+    return f"step {step!r} from {t0!r} to {horizon!r} needs more than {MAX_GRID_STEPS} steps"
+
+
 def _step_grid(
     t0: float, horizon: float, step: float, sigma: ImpulseSequence, breakpoints: np.ndarray
 ):
     """The grid of a run: its segment table (a, b, nsub, h), its sample
     times, each sample's jump count over (t0, t], and whether each
     segment ends in a jump in (t0, horizon].  Raises InvalidInterval when
-    t0 is not finite, horizon < t0, step is not positive, or the sample
-    times would not be strictly increasing (a step below the time
-    resolution at the grid's magnitude).
+    t0 is not finite, horizon < t0, step is not positive, the grid would
+    take more than MAX_GRID_STEPS steps ((horizon - t0) / step is checked
+    before the jumps are materialized, the step count before the sample
+    times are allocated), or the sample times would not be strictly
+    increasing (a step below the time resolution at the grid's magnitude).
 
     The windows between t0, each event in (t0, horizon) once, and horizon
     (none when horizon == t0) are each cut into the fewest nsub equal
@@ -125,6 +148,8 @@ def _step_grid(
         raise InvalidInterval(f"horizon {horizon} precedes start {t0}")
     if not step > 0:
         raise InvalidInterval("step must be positive")
+    if not (float(horizon) - float(t0)) / float(step) <= MAX_GRID_STEPS:
+        raise InvalidInterval(_too_many_steps(t0, horizon, step))
     jump_times = sigma.materialize(horizon)
     jump_times = jump_times[jump_times > t0]
     events = np.concatenate((jump_times, breakpoints))
@@ -132,10 +157,15 @@ def _step_grid(
     bounds = np.concatenate(([t0], events, [horizon]))
     keep = bounds[1:] > bounds[:-1]
     a, b = bounds[:-1][keep], bounds[1:][keep]
+    # each window needs at most about (horizon - t0) / step steps, so the
+    # int64 counts cannot overflow
     nsub = np.maximum(1, np.ceil((b - a) / step - 1e-9)).astype(np.int64)
     h = (b - a) / nsub
     ends = np.cumsum(nsub)
-    times = np.empty(1 + (int(ends[-1]) if ends.size else 0))
+    total = int(ends[-1]) if ends.size else 0
+    if total > MAX_GRID_STEPS:
+        raise InvalidInterval(_too_many_steps(t0, horizon, step))
+    times = np.empty(1 + total)
     times[0] = t0
     j = np.arange(1, times.size) - np.repeat(ends - nsub, nsub)
     times[1:] = np.repeat(a, nsub) + j * np.repeat(h, nsub)

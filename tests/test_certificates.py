@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -699,6 +699,18 @@ class TestFalsify:
         blob = json.dumps(rep.witness.to_dict())
         back = Witness.from_dict(json.loads(blob))
         assert back == rep.witness
+
+    def test_witness_dict_is_asdict_with_fresh_lists(self):
+        """to_dict builds its dict directly: the keys, order and values of
+        dataclasses.asdict, and no list shared with the witness."""
+        cert = decaying_guas_certificate(3.0, 0.5)
+        rep = falsify(cert, get_example("double-jump"), periodic_family(0.1), budget=3, seed=3)
+        wit = replace(rep.witness, u={"breakpoints": [0.0, 1.0], "values": [[0.5], [0.0]]})
+        out = wit.to_dict()
+        assert list(out.items()) == list(asdict(wit).items())
+        fresh = [out["x0"], out["sigma_times"], out["u"]["breakpoints"], *out["u"]["values"]]
+        mine = [wit.x0, wit.sigma_times, wit.u["breakpoints"], *wit.u["values"]]
+        assert all(a is not b for a, b in zip(fresh, mine))
 
 
 class TestEpsDelta:

@@ -17,6 +17,7 @@ from impstab.comparison import (
     _beta_at_zero,
     _bisect,
     _probe_grid,
+    comparison_from_config,
     eval_array,
     eval_kl_array,
     exp_decay_kl,
@@ -24,6 +25,7 @@ from impstab.comparison import (
     identity,
     invert,
     invert_array,
+    kl_from_config,
     lift_weak_beta,
     linear,
     log_growth,
@@ -82,6 +84,28 @@ class TestValidation:
         bad = KLFn(lambda r, s: r)
         with pytest.raises(ClassViolation, match="decay"):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "rational-decay", "p": 39},
+            {"kind": "power", "p": 2.0, "domain_hint": 1e200},
+            {"kind": "power", "p": 1e9},
+            {"kind": "linear", "k": 2.0, "domain_hint": 1e300},
+        ],
+        ids=["rational-p39", "power-hint-1e200", "power-p1e9", "linear-hint-1e300"],
+    )
+    def test_probe_overflow_is_a_class_violation(self, cfg):
+        """A tail probe (1 + 1e8) ** 39 once escaped as a bare OverflowError,
+        and with warnings as errors numpy overflow escaped as
+        RuntimeWarning; either now names the function."""
+        if cfg["kind"] == "rational-decay":
+            fn = kl_from_config(cfg)
+            kl_from_config(dict(cfg, p=38)).validate()  # just below the overflow
+        else:
+            fn = comparison_from_config(cfg)
+        with pytest.raises(ClassViolation, match=rf"{cfg['kind']}\(.*validation probe"):
+            fn.validate()
 
     def test_repeat_validation_computes_no_grid(self, monkeypatch):
         """The probe grids are computed once per (lo, hi, n): validating a

@@ -1,8 +1,10 @@
-"""Every config loader, fed any JSON value at any key, builds or raises a
-package error: never a bare TypeError, KeyError or ValueError."""
+"""Every config loader, and a scenario's spot-check fields, fed any JSON
+value at any key, builds or raises a package error: never a bare
+TypeError, KeyError or ValueError."""
 
 import copy
 import math
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from impstab.errors import ImpstabError
 from impstab.impulses import family_from_config
 from impstab.inputs import signal_from_config
 from impstab.library import EXAMPLE_CONFIGS
+from impstab.scenarios import run_scenario
 from impstab.systems import system_from_config
 
 IDENTITY = {"kind": "identity"}
@@ -89,3 +92,47 @@ def test_every_loader_builds_or_raises_a_package_error(data):
         load(cfg)
     except ImpstabError:
         pass
+
+
+# a spot check on a one-unit window of ten steps with one jump; the
+# property sets one of its fields (or the whole check) to a drawn value
+SPOT_CHECK = {
+    "kind": "check-guas",
+    "t0": 0.0,
+    "horizon": 1.0,
+    "step": 0.1,
+    "x0": [1.0],
+    "sigma_times": [0.5],
+    "seed": 0,
+    "certificate": {"kind": "guas", "beta": {"kind": "exp-decay", "amp": 2.0}},
+}
+# horizon and step only from values that give at most 200 steps from any
+# drawn t0, or that the grid refuses before allocating (1e300 and up
+# steps, a step that is not positive or finite), so no long run is drawn
+GRID_NUMBERS = st.sampled_from(
+    [0.0, -0.0, 0.05, 0.1, 0.5, 1.0, 2.0, 10.0, -1.0, 1e300, 1e-300, 5e-324, math.nan,
+     math.inf, -math.inf]
+)
+GRID_JSON = json_values(GRID_NUMBERS)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_spot_check_fields_build_or_raise_a_package_error(data):
+    """"x0": [[1]] once raised a bare TypeError from simulate, "sigma_times"
+    [2, 1] or [[1]] ImpulseSequence's ValueError, and "step" 1e-300 a
+    bare ValueError after an int64 cast overflowed."""
+    key = data.draw(
+        st.sampled_from([None, "t0", "horizon", "step", "x0", "sigma_times", "seed", "unknown"]),
+        label="key",
+    )
+    if key is None:
+        check = data.draw(ANY_JSON, label="check")
+    else:
+        value = data.draw(GRID_JSON if key in ("horizon", "step") else ANY_JSON, label="value")
+        check = dict(copy.deepcopy(SPOT_CHECK), **{key: value})
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_scenario({"system": "lin-contract", "checks": [check]}, out)
+        except ImpstabError:
+            pass

@@ -7,9 +7,14 @@ from importlib import resources
 
 import pytest
 
-from impstab.errors import ConfigError
+from impstab import certificates, scenarios
+from impstab.certificates import SearchRanges, certificate_from_config, check_certificate, falsify
+from impstab.errors import ConfigError, InvalidInterval
+from impstab.impulses import family_from_config
+from impstab.library import get_example
 from impstab.scenarios import (
     DEFAULT_OUT_DIR,
+    _bound_series,
     load_scenario,
     resolve_out_dir,
     run_scenario,
@@ -122,6 +127,79 @@ def test_trajectory_csv_written_atomically(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk went away"):
         run_scenario(bundled("double_jump_falsify"), str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+IDENTITY = {"kind": "identity"}
+# one refutation per certificate kind: (system, family, certificate)
+REFUTATIONS = {
+    "guas": (
+        "double-jump",
+        {"name": "periodic", "period": 0.1},
+        {"kind": "guas", "beta": {"kind": "exp-decay", "amp": 3.0, "rate": 0.5}},
+    ),
+    "ubebs": (
+        "lin-contract",
+        {"name": "periodic", "period": 0.5},
+        {"kind": "ubebs", "alpha": {"kind": "linear", "k": 2.0}, "rho1": IDENTITY,
+         "rho2": IDENTITY},
+    ),
+    "iiss": (
+        "lin-contract",
+        {"name": "periodic", "period": 0.5},
+        {"kind": "iiss", "alpha": {"kind": "linear", "k": 2.0}, "beta": {"kind": "exp-decay"},
+         "rho1": IDENTITY, "rho2": IDENTITY},
+    ),
+}
+
+
+class TestKeptTrajectory:
+    """A falsify report keeps the trial it names, so a scenario writes its
+    artifacts with no replay and prices each check once."""
+
+    @pytest.mark.parametrize("kind", sorted(REFUTATIONS))
+    def test_kept_trial_equals_its_replay(self, kind):
+        name, family, cfg = REFUTATIONS[kind]
+        system, cert = get_example(name), certificate_from_config(cfg)
+        rep = falsify(cert, system, family_from_config(family), 12, SearchRanges(horizon=4.0), 3)
+        assert rep.verdict == "violated"
+        replay = rep.witness.trajectory(system)
+        assert rep.trajectory.csv_text() == replay.csv_text()
+        bound = _bound_series(cert, check_certificate(cert, replay))
+        assert _bound_series(cert, rep).tobytes() == bound.tobytes()
+        assert "trajectory" not in json.dumps(rep.to_dict())
+
+    def test_pass_keeps_no_trial(self):
+        rep = falsify(
+            certificate_from_config(REFUTATIONS["guas"][2]),
+            get_example("lin-contract"),
+            family_from_config({"name": "periodic", "period": 0.5}),
+            3,
+        )
+        assert rep.verdict == "pass" and rep.trajectory is None
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_ARTIFACTS))
+    def test_each_trial_simulated_and_priced_once(self, tmp_path, monkeypatch, name):
+        """The refutation once re-simulated its witness for the artifacts,
+        and both scenarios priced each written check's sides twice."""
+        calls = {"simulate": 0, "sides": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (certificates, scenarios):
+            for attr, key in (("simulate", "simulate"), ("_sides", "sides")):
+                if hasattr(module, attr):  # wherever the name is bound
+                    monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+        result = run_scenario(bundled(name), str(tmp_path))
+        runs = sum(
+            entry["report"]["trials"] if entry["kind"].startswith("falsify") else 1
+            for entry in result["report"]["checks"]
+        )
+        assert calls == {"simulate": runs, "sides": runs}
 
 
 class TestOutDirPrecedence:
@@ -247,6 +325,35 @@ class TestScenarioValidation:
         that is not an object as an AttributeError."""
         with pytest.raises(ConfigError, match=named):
             run_scenario({"system": "zero", "checks": checks}, str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "key, value", [("sigma_times", [2, 1]), ("sigma_times", [[1]]), ("x0", [[1]])]
+    )
+    def test_bad_spot_check_field_names_its_key(self, tmp_path, key, value):
+        """Unordered or nested jump times once raised ImpulseSequence's bare
+        ValueError, and a nested x0 a bare TypeError from simulate."""
+        check = {
+            "kind": "check-guas",
+            "horizon": 1.0,
+            key: value,
+            "certificate": {"kind": "guas", "beta": {"kind": "exp-decay", "amp": 2.0}},
+        }
+        with pytest.raises(ConfigError, match=repr(key)):
+            run_scenario({"system": "lin-contract", "checks": [check]}, str(tmp_path))
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_tiny_spot_check_step_refused_before_any_grid(self, tmp_path, step):
+        """A step of 1e-300 once overflowed the grid's int64 step count into
+        a cast warning and a bare ValueError; (horizon - t0) / step is
+        1e300 or more steps, refused before anything is allocated."""
+        check = {
+            "kind": "check-guas",
+            "horizon": 1.0,
+            "step": step,
+            "certificate": {"kind": "guas", "beta": {"kind": "exp-decay", "amp": 2.0}},
+        }
+        with pytest.raises(InvalidInterval, match="needs more than"):
+            run_scenario({"system": "lin-contract", "checks": [check]}, str(tmp_path))
 
     def test_unknown_builtin_system(self, tmp_path):
         with pytest.raises(ConfigError):

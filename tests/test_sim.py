@@ -24,11 +24,13 @@ from impstab.scenarios import _write_plot_csv
 from impstab.sim import (
     _DIVERGE_SQ,
     DIVERGENCE_RADIUS,
+    MAX_GRID_STEPS,
     STATUS_COMPLETE,
     STATUS_DIVERGED,
     STATUS_STEP_FAILURE,
     closed_form_linear_impulsive,
     integral_residual,
+    repr_column,
     simulate,
 )
 from impstab.systems import ImpulsiveSystem, compile_map, map_source, system_from_config
@@ -382,7 +384,7 @@ def test_csv_writers_match_reference(tmp_path_factory, run):
     reference_trajectory_csv(traj, out / "want.csv")
     assert (out / "traj.csv").read_bytes() == (out / "want.csv").read_bytes()
     with np.errstate(over="ignore"):  # the norm of a 1e300 state is inf
-        _write_plot_csv(str(out / "plot.csv"), traj, bounds)
+        _write_plot_csv(str(out / "plot.csv"), repr_column(traj.times), traj, bounds)
         want = reference_plot_csv(traj, bounds)
     assert (out / "plot.csv").read_bytes() == want
 
@@ -774,6 +776,28 @@ def test_step_below_the_time_resolution_is_refused():
     # a step the doubles there resolve is accepted, one sample per step
     traj = simulate(system, t0, [1.0], w, t0 + 10.0, 2.0)
     assert np.all(np.diff(traj.times) > 0) and traj.counts.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_grid_step_count_bounded_before_allocation():
+    """A step of 1e-300 once overflowed the int64 step count into a cast
+    warning and a bare ValueError, and any step needing about 1e9 samples
+    allocated them.  Both counts below are worked out by hand, not built:
+    (horizon - t0) / step over the bound is refused before the jumps are
+    read, and a window count over it before the sample arrays exist."""
+    system = make_linear_system(-1.0, 0.5)
+    bound = float(MAX_GRID_STEPS)
+    w = hybrid(zero_signal())
+    for horizon, step in ((1.0, 1e-300), (bound + 1.0, 1.0)):
+        assert horizon / step > bound
+        with pytest.raises(InvalidInterval, match="needs more than"):
+            simulate(system, 0.0, [1.0], w, horizon, step)
+        with pytest.raises(InvalidInterval, match="needs more than"):
+            closed_form_linear_impulsive(-1.0, 0.5, 0.0, [1.0], w, horizon, step)
+    # exactly the bound over the whole window, but a jump at 0.5 cuts it
+    # into [0, 0.5] (1 step) and [0.5, bound] (bound steps)
+    assert 1 + math.ceil(bound - 0.5 - 1e-9) == MAX_GRID_STEPS + 1
+    with pytest.raises(InvalidInterval, match="needs more than"):
+        simulate(system, 0.0, [1.0], hybrid(zero_signal(), 0.5), bound, 1.0)
 
 
 def scalar_grid(t0, horizon, step, jump_times, breakpoints):
