@@ -13,6 +13,12 @@ Falsification searches over start times, initial states, inputs, and
 sequences drawn from a family, mixing uniform random trials,
 low-discrepancy trials, and adversarial presets.  Trial seeds derive
 from (master seed, trial index) so any one trial reproduces on its own.
+
+A state past about 1.3e154 has a norm whose square overflows.
+`falsify` runs its whole search, and a scenario its checks, with numpy
+overflow ignored, so such a norm reads inf and the check reports it; a
+direct ``check_*`` call keeps the caller's numpy error state, and under
+warnings as errors that overflow raises RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -549,56 +555,62 @@ def falsify(
     maxes = (ranges.t0_max, ranges.x0_max, ranges.u_amp_max)
     worst = -math.inf
     inconclusive = 0
-    for trial in range(budget):
-        rng = np.random.default_rng([seed, trial])
-        style = trial % 3
-        variant = (trial // 3) % 4 if style == 2 else None
-        sigma = family.sampler(_trial_seed(seed, trial), ranges.t0_max + ranges.horizon + 1.0)
-        # (t0, |x0|, amplitude): uniform, low-discrepancy, or the corner
-        if style == 0:
-            t0, x0n, amp = (float(rng.uniform(0.0, m)) for m in maxes)
-        elif style == 1:
-            if halton is None:
-                halton = _scrambled_halton(budget, seed)
-            t0, x0n, amp = (float(v * m) for v, m in zip(halton[trial], maxes))
-        else:
-            t0, x0n, amp = 0.0, ranges.x0_max, ranges.u_amp_max
-            if variant == 2:
-                taus = sigma.materialize(ranges.t0_max + 1.0)
-                if taus.size:
-                    t0 = max(0.0, float(taus[0]) - 0.5 * ranges.step)
-        horizon = t0 + ranges.horizon
-        x0 = x0n * _direction(rng, system.dim_x)
-        if zero_only or variant == 0:
-            u = zero_signal(system.dim_u)
-        elif variant == 1:
-            u = _pulses_at_jumps(sigma, system.dim_u, amp, 2.0 * ranges.step, t0, horizon)
-        elif variant == 3:
-            u = InputSignal._trusted(np.array([t0]), amp * np.ones((1, system.dim_u)))
-        else:
-            u = _random_signal(rng, system.dim_u, t0, horizon, amp, 6)
-        traj = simulate(system, t0, x0, HybridInput(u, sigma), horizon, ranges.step, strict=False)
-        rep = check_certificate(cert, traj)
-        if rep.verdict == "violated":
-            wit = rep.witness
-            wit.trial = trial
-            wit.seed = seed
-            return CheckReport(
-                verdict="violated",
-                kind=kind,
-                worst_margin=rep.worst_margin,
-                trials=trial + 1,
-                samples=rep.samples,
-                witness=wit,
-                details={"trial_style": ("random", "low-discrepancy", "adversarial")[style]},
-                trajectory=traj,
-                rhs=rep.rhs,
-                side=rep.side,
+    # a state or bound past the float range reads inf, which the checks
+    # report, not a numpy warning: one errstate for the whole search
+    with np.errstate(over="ignore"):
+        for trial in range(budget):
+            rng = np.random.default_rng([seed, trial])
+            style = trial % 3
+            variant = (trial // 3) % 4 if style == 2 else None
+            sigma = family.sampler(
+                _trial_seed(seed, trial), ranges.t0_max + ranges.horizon + 1.0
             )
-        if rep.worst_margin > worst or math.isnan(rep.worst_margin):  # NaN stays
-            worst = rep.worst_margin
-        if rep.verdict == "inconclusive":
-            inconclusive += 1
+            # (t0, |x0|, amplitude): uniform, low-discrepancy, or the corner
+            if style == 0:
+                t0, x0n, amp = (float(rng.uniform(0.0, m)) for m in maxes)
+            elif style == 1:
+                if halton is None:
+                    halton = _scrambled_halton(budget, seed)
+                t0, x0n, amp = (float(v * m) for v, m in zip(halton[trial], maxes))
+            else:
+                t0, x0n, amp = 0.0, ranges.x0_max, ranges.u_amp_max
+                if variant == 2:
+                    taus = sigma.materialize(ranges.t0_max + 1.0)
+                    if taus.size:
+                        t0 = max(0.0, float(taus[0]) - 0.5 * ranges.step)
+            horizon = t0 + ranges.horizon
+            x0 = x0n * _direction(rng, system.dim_x)
+            if zero_only or variant == 0:
+                u = zero_signal(system.dim_u)
+            elif variant == 1:
+                u = _pulses_at_jumps(sigma, system.dim_u, amp, 2.0 * ranges.step, t0, horizon)
+            elif variant == 3:
+                u = InputSignal._trusted(np.array([t0]), amp * np.ones((1, system.dim_u)))
+            else:
+                u = _random_signal(rng, system.dim_u, t0, horizon, amp, 6)
+            w = HybridInput(u, sigma)
+            traj = simulate(system, t0, x0, w, horizon, ranges.step, strict=False)
+            rep = check_certificate(cert, traj)
+            if rep.verdict == "violated":
+                wit = rep.witness
+                wit.trial = trial
+                wit.seed = seed
+                return CheckReport(
+                    verdict="violated",
+                    kind=kind,
+                    worst_margin=rep.worst_margin,
+                    trials=trial + 1,
+                    samples=rep.samples,
+                    witness=wit,
+                    details={"trial_style": ("random", "low-discrepancy", "adversarial")[style]},
+                    trajectory=traj,
+                    rhs=rep.rhs,
+                    side=rep.side,
+                )
+            if rep.worst_margin > worst or math.isnan(rep.worst_margin):  # NaN stays
+                worst = rep.worst_margin
+            if rep.verdict == "inconclusive":
+                inconclusive += 1
     return CheckReport(
         verdict="pass",
         kind=kind,

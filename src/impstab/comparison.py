@@ -475,6 +475,13 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
     upper end), which keeps the lift conservative:
     beta(r, s) <= lifted(r, s + phi(s)) pointwise.
 
+    The brackets of all times come from one scalar pass: phi is called
+    at h = 1, 2, 4, ... until the running maximum of h + phi(h) reaches
+    the largest target (InvalidPhi past 2**199, no call when every target
+    is at most phi(0+)), and each target's H is the first h whose running
+    maximum reaches it, so an envelope whose h + phi(h) falls somewhere
+    past the probe gives each target the H of its own doubling.
+
     For ``math.ceil`` and ``np.ceil`` g has a closed form.  It is placed
     on the dyadic grid where the bisection would close, and taken only
     where the bisection's own predicate and closing rule hold there;
@@ -518,13 +525,21 @@ def lift_weak_beta(beta: KLFn, phi: Callable[[float], float]) -> KLFn:
         out = np.zeros(v.size)
         live = np.flatnonzero(~(v.ravel() <= phi0))
         target = v.ravel()[live]
-        hi, h = np.zeros(live.size), 1.0
-        while not hi.all():
+        # one scalar pass over h = 1, 2, 4, ...: the running maximum of
+        # h + phi(h) until it reaches the largest target; a target's bracket
+        # ends at the first h whose running maximum reaches it
+        hs, tops, top, h = [], [], -math.inf, 1.0
+        need = target.max(initial=-math.inf)
+        while live.size and not (hs and top >= need):
             if h > 2.0**199:
                 raise InvalidPhi("envelope fails to grow past the target")
-            # times still doubling share h: one scalar envelope call
-            hi[(hi == 0.0) & (h + float(phi(h)) >= target)] = h
+            reach = h + float(phi(h))
+            if reach > top:
+                top = reach
+            hs.append(h)
+            tops.append(top)
             h *= 2.0
+        hi = np.array(hs)[np.searchsorted(tops, target)]
         if phi_arr is np.ceil:
             # Bisection on [0, hi] tests only dyadic points, so it closes on
             # [j * w, (j + 1) * w] for a power of two w, at the first level

@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInterval
 
+# the most RK4 steps one run may take; a grid is sized before it is built.
+# Every jump ends a grid segment, so a family refuses to generate more jump
+# times than this too.
+MAX_GRID_STEPS = 10**7
+
 
 def _validated_times(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
@@ -173,6 +178,12 @@ class ImpulseFamily:
     description: str
 
 
+def _too_many_jumps(gaps: str, horizon: float) -> InvalidInterval:
+    return InvalidInterval(
+        f"{gaps} give more than {MAX_GRID_STEPS} jump times up to {horizon!r}"
+    )
+
+
 def empty_family() -> ImpulseFamily:
     empty = ImpulseSequence.from_times((), description="empty")
     return ImpulseFamily(
@@ -184,12 +195,15 @@ def empty_family() -> ImpulseFamily:
 def periodic_family(period: float) -> ImpulseFamily:
     """Jumps at every multiple of period.  The draw ignores its seed, so
     every sample is one shared sequence, whose grow-only cache serves
-    them all."""
+    them all.  More than MAX_GRID_STEPS jumps up to a horizon raise
+    InvalidInterval naming the period, before any is built."""
     period = _positive("period", period)
 
     def gen(horizon: float) -> np.ndarray:
-        n = int(math.floor(horizon / period + 1e-9))
-        return period * np.arange(1, n + 1)
+        n = horizon / period + 1e-9
+        if n >= MAX_GRID_STEPS + 1:
+            raise _too_many_jumps(f"periods of {period!r}", horizon)
+        return period * np.arange(1, int(math.floor(n)) + 1)
 
     shared = ImpulseSequence.from_generator(gen, description=f"periodic({period:g})")
     return ImpulseFamily(
@@ -199,19 +213,27 @@ def periodic_family(period: float) -> ImpulseFamily:
 
 
 def dwell_family(min_gap: float, max_gap: float) -> ImpulseFamily:
-    """Randomized gaps, each at least min_gap."""
+    """Randomized gaps, each at least min_gap.  More than MAX_GRID_STEPS
+    jumps up to a horizon raise InvalidInterval naming the gaps: before
+    any is drawn when gaps of at most max_gap force twice that many, else
+    as the next one is drawn."""
     min_gap, max_gap = _positive("min_gap", min_gap), _positive("max_gap", max_gap)
     if min_gap > max_gap:
         raise ConfigError(f"need 'min_gap' <= 'max_gap', got {min_gap!r} > {max_gap!r}")
+    gaps = f"gaps in [{min_gap!r}, {max_gap!r}]"
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         def gen(h: float) -> np.ndarray:
+            if h / max_gap >= 2 * (MAX_GRID_STEPS + 1):
+                raise _too_many_jumps(gaps, h)
             rng = np.random.default_rng([7841, seed])
             out = []
             t = 0.0
             while t <= h:
                 t += float(rng.uniform(min_gap, max_gap))
                 if t <= h:
+                    if len(out) >= MAX_GRID_STEPS:
+                        raise _too_many_jumps(gaps, h)
                     out.append(t)
             return np.asarray(out)
 
@@ -249,13 +271,20 @@ def finite_random_family(count: int, spread: float) -> ImpulseFamily:
 
 
 def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
-    """Gaps that halve toward a strictly positive floor; never Zeno."""
+    """Gaps that halve toward a strictly positive floor; never Zeno.  More
+    than MAX_GRID_STEPS jumps up to a horizon raise InvalidInterval naming
+    the gaps: before any is built when the gaps, which sum to less than
+    2 * first_gap + k * min_gap over k jumps, force twice that many, else
+    as the next one is built."""
     first_gap, min_gap = _positive("first_gap", first_gap), _positive("min_gap", min_gap)
     if min_gap > first_gap:
         raise ConfigError(f"need 'min_gap' <= 'first_gap', got {min_gap!r} > {first_gap!r}")
+    gaps = f"gaps shrinking from {first_gap!r} toward {min_gap!r}"
 
     def sample(seed: int, horizon: float) -> ImpulseSequence:
         def gen(h: float) -> np.ndarray:
+            if (h - 2.0 * first_gap) / min_gap >= 2 * (MAX_GRID_STEPS + 1):
+                raise _too_many_jumps(gaps, h)
             out = []
             t = 0.0
             k = 0
@@ -264,6 +293,8 @@ def shrinking_gap_family(first_gap: float, min_gap: float) -> ImpulseFamily:
                 t += gap
                 k += 1
                 if t <= h:
+                    if k > MAX_GRID_STEPS:
+                        raise _too_many_jumps(gaps, h)
                     out.append(t)
             return np.asarray(out)
 

@@ -15,11 +15,15 @@ appends each component to its own sample column, and the sample times
 and their jump counts come from the segment table in one vectorized
 pass.  A flow map built by `compile_map` has its expressions written
 into the kernel's stages, so a step makes no call; any other flow map
-is called exactly four times per step.  Both do the same operations in the same order, so their
-results are bit-identical.  The jump map is called once per applied
-jump.  Maps are called as h(t, x, u) with x a fresh list and u a
-tuple.  A map that raises an arithmetic error, or a state that turns
-complex, ends the run as "step-failure" at the last finite sample
+is called exactly four times per step.  A compiled flow that names
+neither t nor any state component (a still flow, such as the pure-jump
+system's 0.0) has equal stages, so its expressions are evaluated once
+per segment and each step only adds the increment h/6 (k + 2k + 2k + k)
+the stages would form.  All of them do the same operations in the same
+order, so their results are bit-identical.  The jump map is called once
+per applied jump.  Maps are called as h(t, x, u) with x a fresh list
+and u a tuple.  A map that raises an arithmetic error, or a state that
+turns complex, ends the run as "step-failure" at the last finite sample
 (NonFiniteState when strict); a map returning anything but a sequence
 of the state dimension raises InvalidSystem.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInterval, InvalidSystem, NonFiniteState
-from .impulses import ImpulseSequence
+from .impulses import MAX_GRID_STEPS, ImpulseSequence
 from .inputs import HybridInput
 from .systems import ImpulsiveSystem, MapSource, map_source, sandbox
 
@@ -42,8 +46,6 @@ STATUS_STEP_FAILURE = "step-failure"
 
 DIVERGENCE_RADIUS = 1e12
 _DIVERGE_SQ = DIVERGENCE_RADIUS**2
-# the most RK4 steps one run may take; a grid is sized before it is built
-MAX_GRID_STEPS = 10**7
 
 
 def repr_column(values: np.ndarray) -> list[str]:
@@ -210,8 +212,14 @@ def _kernel(n: int, source: MapSource | None = None) -> tuple:
     f with a fresh list; with one, each stage binds x1..xn to the stage
     state and evaluates the expressions in place, u1..um unpacked once per
     segment, so a step makes no call.  Stage times are computed only for
-    f or for expressions that name t.  The operations and their order are
-    the same either way.  `segment(f, a, nsub, h, x, u, cols)` takes nsub
+    f or for expressions that name t.  Expressions that name neither t
+    nor any of x1..xn (a still flow) give four equal stages: they are
+    evaluated once per segment into k_i, d_i = h6 * (k_i + 2.0 * k_i +
+    2.0 * k_i + k_i) is formed once, and a step is s_i + d_i, the
+    divergence test and the append.  An expression that raises, turns
+    complex or overflows then does so before the segment's first sample,
+    as it would at its first stage.  The operations and their order are
+    the same every way.  `segment(f, a, nsub, h, x, u, cols)` takes nsub
     steps of length h from x at time a, appending component i of each
     state to cols[i], and returns (last state, False); a state outside
     the divergence radius or not finite is returned unappended, with
@@ -225,9 +233,13 @@ def _kernel(n: int, source: MapSource | None = None) -> tuple:
     def row(fmt: str) -> str:
         return ", ".join(fmt.format(i=i) for i in range(n))
 
-    timed = source is None or any(
-        "t" in compile(e, "<flow>", "eval").co_names for e in source.exprs
-    )
+    names = set()
+    for e in source.exprs if source is not None else ():
+        names.update(compile(e, "<flow>", "eval").co_names)
+    timed = source is None or "t" in names
+    # a still flow reads neither t nor the state, so its four stages are the
+    # same values of u: evaluated once per segment, they give one increment
+    still = not timed and not names & {f"x{i + 1}" for i in range(n)}
 
     def stage(k: str, t: str, c: str | None = None, prev: str = "") -> str:
         """Stage k at time t and state s + c * prev (s itself when c is None)."""
@@ -239,6 +251,21 @@ def _kernel(n: int, source: MapSource | None = None) -> tuple:
         lines += [f"{k}{i} = ({e})" for i, e in enumerate(source.exprs)]
         return "\n        ".join(lines)
 
+    if still:
+        head = [f"k{i} = ({e})" for i, e in enumerate(source.exprs)]
+        head += [f"d{i} = h6 * (k{i} + 2.0 * k{i} + 2.0 * k{i} + k{i})" for i in range(n)]
+        steps = [f"{row('s{i}')}, = {row('s{i} + d{i}')},"]
+    else:
+        head = []
+        steps = ["ti = a + i * h"] if timed else []
+        steps += [
+            stage("k", "ti"),
+            stage("p", "ti + h2", "h2", "k"),
+            stage("q", "ti + h2", "h2", "p"),
+            stage("r", "ti + h", "h", "q"),
+            f"{row('s{i}')}, = {row('s{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},",
+        ]
+    pre, body = "\n    ".join(head), "\n        ".join(steps)
     sumsq = " + ".join(f"s{i} * s{i}" for i in range(n))
     unpack_u = ""
     if source is not None:
@@ -250,13 +277,9 @@ def segment(f, a, nsub, h, x, u, cols):
     {unpack_u}
     h2 = 0.5 * h
     h6 = h / 6.0
+    {pre}
     for i in range(nsub):
-        {'ti = a + i * h' if timed else ''}
-        {stage('k', 'ti')}
-        {stage('p', 'ti + h2', 'h2', 'k')}
-        {stage('q', 'ti + h2', 'h2', 'p')}
-        {stage('r', 'ti + h', 'h', 'q')}
-        {row('s{i}')}, = {row('s{i} + h6 * (k{i} + 2.0 * p{i} + 2.0 * q{i} + r{i})')},
+        {body}
         if not {sumsq} <= {_SAFE_SQ!r} and _outside(({row('s{i}')},)):
             return [{row('s{i}')}], True
         {'; '.join(f'c{i}.append(s{i})' for i in range(n))}

@@ -610,6 +610,34 @@ class TestFalsify:
         assert out["replayed_t"] == wit.t
         assert out["margin_gap"] == 0.0
 
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            GuasCertificate(exp_decay_kl(1.0, 0.1), "weak"),
+            UbebsCertificate(identity(), identity(), identity()),
+        ],
+        ids=["guas", "ubebs"],
+    )
+    def test_overflowing_norm_is_reported_not_warned(self, cert):
+        """The flow 1e45*x1 from x0 = 1 with step 0.01 leaves the radius in
+        one step, at 4.17e170, a kept crossing sample whose squared norm
+        overflows: under warnings as errors its RuntimeWarning once escaped
+        the search.  The search ignores numpy overflow, so the norm reads
+        inf and the trial is reported; a direct check still warns."""
+        system = system_from_config(
+            {"name": "burst", "dim_x": 1, "dim_u": 1, "flow": ["1e45*x1"], "jump": ["0.0"]}
+        )
+        w = HybridInput(zero_signal(), empty_family().sampler(0, 1.0))
+        traj = simulate(system, 0.0, [1.0], w, 1.0, 0.01, strict=False)
+        assert traj.status == "diverged" and traj.states[-1][0] > 1e170
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            check_certificate(cert, traj)
+        ranges = SearchRanges(t0_max=0.0, x0_max=1.0, horizon=1.0, step=0.01)
+        rep = falsify(cert, system, empty_family(), budget=1, ranges=ranges)
+        assert rep.verdict == "violated" and rep.trials == 1
+        assert rep.witness.t == rep.trajectory.end_time
+        assert rep.trajectory.states[-1][0] > 1e154
+
     def test_halton_table_drawn_only_for_low_discrepancy_trials(self, monkeypatch):
         """The double-jump refutation stops at trial 0, a uniform draw, and
         builds no low-discrepancy table; a passing search builds it once."""

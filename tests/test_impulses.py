@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from impstab import impulses
 from impstab.errors import ConfigError, InvalidInterval
 from impstab.impulses import (
     MAX_RANDOM_JUMPS,
@@ -198,3 +199,38 @@ class TestFamilies:
         fam = family_from_config({"name": "finite-random", "count": 3.0, "spread": 5.0})
         assert fam.sampler(1, 10.0).materialize(10.0).size == 3
 
+    @pytest.mark.parametrize(
+        "family, gaps",
+        [
+            (dwell_family(0.01, 0.01), r"gaps in \[0.01, 0.01\]"),
+            (shrinking_gap_family(0.01, 0.01), "gaps shrinking from 0.01 toward 0.01"),
+        ],
+        ids=["dwell", "shrinking-gap"],
+    )
+    def test_generated_jumps_are_bounded(self, monkeypatch, family, gaps):
+        """Gaps of 0.01 over 10 units are about 1,000 jumps, more than a
+        bound of 100, refused before any is built; at a bound of 10^7 and
+        gaps of 1e-300 the append loops would run until memory ran out."""
+        monkeypatch.setattr(impulses, "MAX_GRID_STEPS", 100)
+        with pytest.raises(InvalidInterval, match=f"{gaps} give more than 100 jump times"):
+            family.sampler(0, 10.0).materialize(10.0)
+
+    @pytest.mark.parametrize(
+        "make, horizon",
+        [
+            (lambda: periodic_family(0.1), 10.0),
+            (lambda: dwell_family(0.01, 0.15), 10.0),
+            (lambda: shrinking_gap_family(1.0, 0.01), 3.0),
+        ],
+        ids=["periodic", "dwell", "shrinking-gap"],
+    )
+    def test_jump_bound_is_exact(self, monkeypatch, make, horizon):
+        """A family builds as many jumps as the bound and refuses one more,
+        the loops as they draw (their gaps force fewer than twice the bound)."""
+        n = make().sampler(0, horizon).materialize(horizon).size
+        assert 50 < n < 200
+        monkeypatch.setattr(impulses, "MAX_GRID_STEPS", n)
+        assert make().sampler(0, horizon).materialize(horizon).size == n
+        monkeypatch.setattr(impulses, "MAX_GRID_STEPS", n - 1)
+        with pytest.raises(InvalidInterval, match=f"more than {n - 1} jump times"):
+            make().sampler(0, horizon).materialize(horizon)

@@ -222,6 +222,51 @@ def bisections_started(monkeypatch) -> list:
     return sizes
 
 
+def per_doubling_brackets(phi, target: np.ndarray):
+    """The bracket ends of the per-doubling loop the scalar pass replaced,
+    with its number of envelope calls: each h = 1, 2, 4, ... is tried on
+    every target still unbracketed until none is left."""
+    hi, h, calls = np.zeros(target.size), 1.0, 0
+    while not hi.all():
+        if h > 2.0**199:
+            raise InvalidPhi("envelope fails to grow past the target")
+        calls += 1
+        hi[(hi == 0.0) & (h + float(phi(h)) >= target)] = h
+        h *= 2.0
+    return hi, calls
+
+
+def test_falling_reach_brackets_as_the_per_doubling_loop(monkeypatch):
+    """An envelope of 1e9 jumps below s = 2e4 and none beyond passes the
+    probe (up to s_hint = 1e4), yet h + phi(h) falls from 1e9 + 16384 to
+    32768 along the doubling and passes it again only at h = 2**30.  The
+    scalar pass brackets every target where the old loop did, after the
+    same envelope calls, and g has the bits of doubling and bisection."""
+    calls = []
+
+    def phi(s):
+        calls.append(s)
+        return 1e9 if s < 2e4 else 0.0
+
+    lifted = lift_weak_beta(READ_G, phi)
+    vs = np.array([1e9 + 16385.0, 0.5, 1e9 + 1.0, 1e9 + 16384.0, 1.05e9, 2e9, 1e9 + 7.25])
+    seen, bisect = [], comparison._bisect
+
+    def spy(up, lo, hi, closed, *carry, together=False):
+        seen.append((hi.copy(), len(calls)))
+        return bisect(up, lo, hi, closed, *carry, together=together)
+
+    monkeypatch.setattr(comparison, "_bisect", spy)
+    calls.clear()
+    got = lifted(1.0, vs)
+    ((hi, bracket_calls),) = seen
+    want_hi, want_calls = per_doubling_brackets(phi, vs[vs > 1e9])
+    assert hi.tobytes() == want_hi.tobytes() and bracket_calls == want_calls == 32
+    assert calls[:want_calls] == [2.0**k for k in range(want_calls)]
+    assert hi.tolist() == [2.0**30, 1.0, 2.0**14, 2.0**30, 2.0**31, 8.0]
+    assert got.tobytes() == np.array([bisected_g(phi, v) for v in vs]).tobytes()
+
+
 def steps_apart(x: float):
     """x, one ulp either side of it, and 1e-12 either side of it."""
     return st.sampled_from(

@@ -355,6 +355,23 @@ class TestScenarioValidation:
         with pytest.raises(InvalidInterval, match="needs more than"):
             run_scenario({"system": "lin-contract", "checks": [check]}, str(tmp_path))
 
+    def test_tiny_period_refused_before_any_jump_is_built(self, tmp_path):
+        """A periodic family with period 1e-300 once raised numpy's bare
+        ValueError (maximum allowed size exceeded) from its generator; about
+        1e300 jump times are more than MAX_GRID_STEPS, refused by count."""
+        check = {
+            "kind": "check-guas",
+            "horizon": 1.0,
+            "certificate": {"kind": "guas", "beta": {"kind": "exp-decay", "amp": 2.0}},
+        }
+        scenario = {
+            "system": "lin-contract",
+            "family": {"name": "periodic", "period": 1e-300},
+            "checks": [check],
+        }
+        with pytest.raises(InvalidInterval, match="periods of 1e-300"):
+            run_scenario(scenario, str(tmp_path))
+
     def test_unknown_builtin_system(self, tmp_path):
         with pytest.raises(ConfigError):
             run_scenario({"system": "mystery", "checks": []}, str(tmp_path))

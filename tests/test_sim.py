@@ -28,6 +28,7 @@ from impstab.sim import (
     STATUS_COMPLETE,
     STATUS_DIVERGED,
     STATUS_STEP_FAILURE,
+    _kernel,
     closed_form_linear_impulsive,
     integral_residual,
     repr_column,
@@ -572,9 +573,11 @@ class TestSegmentKernel:
             self.assert_identical(system, 0.2 * k, [rng.uniform(-4, 4)], w, 0.2 * k + 4.0, 0.017)
 
 
-def expressions(dim_x: int, dim_u: int):
-    """Whitelisted expressions over t, x1..x{dim_x} and u1..u{dim_u}."""
-    names = ["t"] + [f"x{i + 1}" for i in range(dim_x)] + [f"u{j + 1}" for j in range(dim_u)]
+def expressions(dim_x: int, dim_u: int, still: bool = False):
+    """Whitelisted expressions over t, x1..x{dim_x} and u1..u{dim_u}, or
+    over u1..u{dim_u} and constants only when still."""
+    names = [] if still else ["t"] + [f"x{i + 1}" for i in range(dim_x)]
+    names += [f"u{j + 1}" for j in range(dim_u)]
     leaves = st.sampled_from(names + ["0.5", "2.0", "3", "pi", "e"])
 
     def extend(sub):
@@ -612,14 +615,22 @@ def compiled_runs(draw):
     return system, x0, w
 
 
-def outcome(system, x0, w, strict):
+def outcome(system, x0, w, strict, step=0.05):
     """What one run gives: its samples and jumps as bytes, or the error raised."""
     try:
-        traj = simulate(system, 0.0, x0, w, 2.0, 0.05, strict=strict)
+        traj = simulate(system, 0.0, x0, w, 2.0, step, strict=strict)
     except Exception as exc:
         return type(exc), str(exc)
     jumps = traj.jumps.tobytes(), traj.x_pre.tobytes()
     return traj.status, traj.times.tobytes(), traj.states.tobytes(), jumps
+
+
+def map_calling(system):
+    """The system with its flow map wrapped, so the map-calling kernel runs it."""
+    m = system.flow
+    return ImpulsiveSystem(
+        system.name, system.dim_x, system.dim_u, lambda t, x, u: m(t, x, u), system.jump
+    )
 
 
 @settings(max_examples=150)
@@ -628,12 +639,114 @@ def test_fused_kernel_matches_map_calls(run):
     """Fused and map-calling kernels agree bit for bit on any expressions,
     including runs a map error or a non-finite state ends."""
     system, x0, w = run
-    m = system.flow
-    calling = ImpulsiveSystem(
-        system.name, system.dim_x, system.dim_u, lambda t, x, u: m(t, x, u), system.jump
-    )
+    calling = map_calling(system)
     for strict in (False, True):
         assert outcome(system, x0, w, strict) == outcome(calling, x0, w, strict)
+
+
+def assert_still_flow_identical(system, x0, w, step=0.05):
+    """A flow that reads neither t nor the state takes the still-flow
+    segment (no x1 local), and gives the run of the map-calling kernel
+    and of `reference_rk4` bit for bit, or fails the same way."""
+    segment, _ = _kernel(system.dim_x, map_source(system.flow))
+    assert "x1" not in segment.__code__.co_varnames
+    calling = map_calling(system)
+    for strict in (False, True):
+        assert outcome(system, x0, w, strict, step) == outcome(calling, x0, w, strict, step)
+    traj = simulate(system, 0.0, x0, w, 2.0, step, strict=False)
+    try:
+        reference = reference_rk4(system, 0.0, x0, w, 2.0, step)
+    except (ArithmeticError, ValueError, TypeError):
+        # the reference does not catch a map error or a complex state
+        assert traj.status == STATUS_STEP_FAILURE
+        return traj
+    TestSegmentKernel.assert_matches(traj, *reference)
+    return traj
+
+
+STILL_EDGES = ["0.0", "1e14", "log(u1)", "(u1 - 5) ** 0.5", "1e308 * (2 + u1*u1)"]
+
+
+@st.composite
+def still_runs(draw):
+    """A compiled system whose flow reads only u and constants, drawn or
+    one of the edge cases, with its initial state (-0.0 among them) and
+    hybrid input."""
+    dim_x, dim_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    component = expressions(dim_x, dim_u, still=True) | st.sampled_from(STILL_EDGES)
+    flow = draw(st.lists(component, min_size=dim_x, max_size=dim_x))
+    jump = draw(st.lists(expressions(dim_x, dim_u), min_size=dim_x, max_size=dim_x))
+    system = system_from_config(
+        {"name": "still", "dim_x": dim_x, "dim_u": dim_u, "flow": flow, "jump": jump}
+    )
+    small = st.just(-0.0) | st.floats(-3.0, 3.0, allow_nan=False)
+    x0 = draw(st.lists(small, min_size=dim_x, max_size=dim_x))
+    bps = sorted(set(draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))))
+    row = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=dim_u, max_size=dim_u)
+    vals = draw(st.lists(row, min_size=len(bps), max_size=len(bps)))
+    taus = draw(st.lists(st.floats(0.01, 2.0), max_size=3))
+    w = HybridInput(
+        InputSignal(np.asarray(bps), np.asarray(vals)),
+        ImpulseSequence.from_times(np.asarray(sorted(set(taus)))),
+    )
+    return system, x0, w, draw(st.sampled_from([0.05, 1e-3]))
+
+
+@settings(max_examples=150)
+@given(still_runs())
+def test_still_flow_matches_map_calls_and_reference(run):
+    assert_still_flow_identical(*run)
+
+
+class TestStillFlow:
+    """A flow of u and constants only is evaluated once per segment; the
+    run is the four-stage one bit for bit, failures included."""
+
+    @staticmethod
+    def system(flow):
+        jump = ["-0.5*x1"] + ["0.0"] * (len(flow) - 1)
+        return system_from_config(
+            {"name": "still", "dim_x": len(flow), "dim_u": 1, "flow": flow, "jump": jump}
+        )
+
+    # u1 is 1 on [0, 1) and -1 from 1 on; one jump at 0.5
+    W = hybrid(InputSignal(np.array([0.0, 1.0]), np.array([[1.0], [-1.0]])), 0.5)
+
+    def test_negative_zero_start(self):
+        traj = assert_still_flow_identical(self.system(["0.0", "u1 - u1"]), [-0.0, -0.0], self.W)
+        assert traj.status == STATUS_COMPLETE
+        assert math.copysign(1.0, traj.states[1][0]) == 1.0  # -0.0 + 0.0
+
+    def test_crossing_sample_kept_mid_segment(self):
+        traj = assert_still_flow_identical(self.system(["1e14"]), [0.0], self.W, 1e-3)
+        assert traj.status == STATUS_DIVERGED and len(traj.times) == 12
+        # ten steps of 1e11 end exactly on the radius, still inside
+        assert traj.norms()[-1] > DIVERGENCE_RADIUS == traj.norms()[-2]
+
+    def test_raising_flow_fails_at_its_segment(self):
+        traj = assert_still_flow_identical(self.system(["log(u1)"]), [1.0], self.W)
+        assert traj.status == STATUS_STEP_FAILURE and traj.end_time == 1.0
+        with pytest.raises(NonFiniteState, match="math domain error.* at t=1$"):
+            simulate(self.system(["log(u1)"]), 0.0, [1.0], self.W, 2.0, 0.05)
+
+    def test_complex_flow_fails(self):
+        traj = assert_still_flow_identical(self.system(["(u1 - 5) ** 0.5"]), [1.0], self.W)
+        assert traj.status == STATUS_STEP_FAILURE and len(traj.times) == 1
+        with pytest.raises(NonFiniteState, match="state became complex at t=0$"):
+            simulate(self.system(["(u1 - 5) ** 0.5"]), 0.0, [1.0], self.W, 2.0, 0.05)
+
+    def test_infinite_increment_fails(self):
+        traj = assert_still_flow_identical(self.system(["1e308 * (2 + u1*u1)"]), [1.0], self.W)
+        assert traj.status == STATUS_STEP_FAILURE and len(traj.times) == 1
+        with pytest.raises(NonFiniteState, match="non-finite at t=0.05$"):
+            simulate(self.system(["1e308 * (2 + u1*u1)"]), 0.0, [1.0], self.W, 2.0, 0.05)
+
+    def test_segment_locals(self):
+        """Only a flow that reads neither t nor the state skips the stages."""
+        for name, still in (("pure-jump", True), ("zero", True), ("lin-contract", False)):
+            flow = system_from_config(EXAMPLE_CONFIGS[name]).flow
+            segment, _ = _kernel(1, map_source(flow))
+            assert ("x1" not in segment.__code__.co_varnames) == still
 
 
 class TestMapErrors:
